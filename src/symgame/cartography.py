@@ -15,6 +15,12 @@ non-trivial game decomposes exactly as
 over the three vertices of its triangle, with nonnegative weights summing
 to 1.  Projecting to the unit cube (max-abs normalization) and unfolding the
 cube into a cross yields planar map coordinates for plotting.
+
+Every region fact lives in one table built at import: a row per region,
+keyed by the 6-bit sign code of (a-c, b-d, a-b, c-d, a-d, b-c), holding the
+vertex triple, the (ga, gb, gab) axes ordered by magnitude with their signs,
+and the cell of the cross.  ``region_of`` computes the code from six exact
+comparisons, the Monte Carlo sampler from the sampled (ga, gb, gab) columns.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -31,7 +37,6 @@ from .payoff import (
     CubePoint,
     TrivialGame,
     g_transform,
-    inverse_g_transform,
     normalize_cube,
 )
 
@@ -48,6 +53,9 @@ _ENTRY_PATTERNS = {
 
 #: All strict orderings of the four entries, largest first; index = region id.
 ALL_ORDERINGS = tuple(itertools.permutations(LABELS))
+
+# The entry pairs (x, y) whose differences x-y make up a sign vector, in order.
+_PAIRS = (("a", "c"), ("b", "d"), ("a", "b"), ("c", "d"), ("a", "d"), ("b", "c"))
 
 
 class BoundaryGame(ValueError):
@@ -85,51 +93,15 @@ class ElementaryRegion:
         return PayoffMatrix(value["a"], value["b"], value["c"], value["d"])
 
 
-def _sign_vector(P: PayoffMatrix) -> tuple:
-    a, b, c, d = P.entries()
-    diffs = (a - c, b - d, a - b, c - d, a - d, b - c)
-    return tuple(0 if x == 0 else (1 if x > 0 else -1) for x in diffs)
+def _sign_code(ac, bd, ab, cd, ad, bc):
+    """Pack the tests x > y over ``_PAIRS`` (bools or bool arrays) into 6 bits."""
+    return ac + 2 * bd + 4 * ab + 8 * cd + 16 * ad + 32 * bc
 
 
-def _build_regions() -> tuple:
-    regions = []
-    for idx, ordering in enumerate(ALL_ORDERINGS):
-        value = {label: 4 - rank for rank, label in enumerate(ordering)}
-        rep = PayoffMatrix(value["a"], value["b"], value["c"], value["d"])
-        regions.append(ElementaryRegion(idx, ordering, _sign_vector(rep)))
-    return tuple(regions)
-
-
-REGIONS = _build_regions()
-_ORDERING_INDEX = {r.ordering: r.id for r in REGIONS}
-
-
-def region_of(P: PayoffMatrix) -> ElementaryRegion:
-    """The elementary region of a strict-generic game.
-
-    Raises TrivialGame for constant matrices and BoundaryGame for any other
-    tie, listing the regions adjacent to the boundary point.
-    """
-    entries = dict(zip(LABELS, P.entries()))
-    if P.is_constant():
-        raise TrivialGame("constant matrix belongs to no region")
-    tied = tuple(
-        (x, y)
-        for x, y in itertools.combinations(LABELS, 2)
-        if entries[x] == entries[y]
-    )
-    if tied:
-        adjacent = tuple(
-            r.id
-            for r in REGIONS
-            if all(
-                entries[r.ordering[k]] >= entries[r.ordering[k + 1]]
-                for k in range(3)
-            )
-        )
-        raise BoundaryGame(tied, adjacent)
-    ordering = tuple(sorted(LABELS, key=lambda l: entries[l], reverse=True))
-    return REGIONS[_ORDERING_INDEX[ordering]]
+REGIONS = tuple(
+    ElementaryRegion(idx, o, tuple(1 if o.index(x) < o.index(y) else -1 for x, y in _PAIRS))
+    for idx, o in enumerate(ALL_ORDERINGS)
+)
 
 
 # ---------------------------------------------------------------------------
@@ -144,12 +116,18 @@ class CanonicalMatrix:
     matrix: PayoffMatrix
 
 
-def _canonical(direction: tuple) -> CanonicalMatrix:
+def _vertex_scale(direction: tuple) -> int:
+    """The t with g_transform(vertex matrix).triple() == t * direction."""
     da, db, dab = direction
     axis = (da, db, dab).count(0) == 2
     # Corner matrices come in two integer shapes: product +1 gives a lone
     # high entry (scale 3), product -1 gives three equal entries (scale 1).
-    t = 3 if axis or da * db * dab > 0 else 1
+    return 3 if axis or da * db * dab > 0 else 1
+
+
+def _canonical(direction: tuple) -> CanonicalMatrix:
+    da, db, dab = direction
+    t = _vertex_scale(direction)
     raw = {
         label: Fraction(t * (p[0] * da + p[1] * db + p[2] * dab), 2)
         for label, p in _ENTRY_PATTERNS.items()
@@ -169,16 +147,103 @@ CANONICAL_DIRECTIONS = _AXIS_DIRECTIONS + _CORNER_DIRECTIONS
 CANONICAL_MATRICES = {d: _canonical(d) for d in CANONICAL_DIRECTIONS}
 
 
-def _axes_by_magnitude(region: ElementaryRegion) -> tuple:
-    """Indices into (ga, gb, gab) sorted by |value| descending, with signs.
+# ---------------------------------------------------------------------------
+# Cells of the unfolded cube
 
-    The ordering and the two leading signs are constant across the region;
-    only the sign of the smallest coordinate varies inside a triangle.
+#: The nine cells of the cross layout: face tag and (ga, gb, gab) -> (u, v).
+#:   gab=+1 face -> central square (u,v) = (ga, gb)
+#:   gab=-1 face -> four tip triangles, quartered by its diagonals, attached
+#:     to the arm sharing the cut edge; apex of each tip is the face center
+#:   ga=+-1 faces -> side arms (+-2 -+ gab, gb)
+#:   gb=+-1 faces -> top/bottom arms (ga, +-2 -+ gab)
+_CELLS = (
+    ("gab+", lambda ga, gb, gab: (ga, gb)),
+    ("gab-", lambda ga, gb, gab: (4 - ga, gb)),
+    ("gab-", lambda ga, gb, gab: (-4 - ga, gb)),
+    ("gab-", lambda ga, gb, gab: (ga, 4 - gb)),
+    ("gab-", lambda ga, gb, gab: (ga, -4 - gb)),
+    ("ga+", lambda ga, gb, gab: (2 - gab, gb)),
+    ("ga-", lambda ga, gb, gab: (-2 + gab, gb)),
+    ("gb+", lambda ga, gb, gab: (ga, 2 - gab)),
+    ("gb-", lambda ga, gb, gab: (ga, -2 + gab)),
+)
+
+
+def _cell(ga, gb, gab) -> int:
+    """Index into ``_CELLS`` of the cell that draws a cube-surface point.
+
+    Points on edges or corners take the gab face first, then ga, then gb;
+    ties on the gab=-1 diagonals go to the first matching quarter.
     """
-    triple = g_transform(region.representative()).triple()
-    order = sorted(range(3), key=lambda k: abs(triple[k]), reverse=True)
-    signs = tuple(1 if triple[k] > 0 else (-1 if triple[k] < 0 else 0) for k in order)
-    return order, signs
+    if abs(gab) == 1:
+        if gab > 0:
+            return 0
+        if ga >= abs(gb):
+            return 1
+        if ga <= -abs(gb):
+            return 2
+        if gb >= abs(ga):
+            return 3
+        return 4
+    if abs(ga) == 1:
+        return 5 if ga > 0 else 6
+    return 7 if gb > 0 else 8
+
+
+# ---------------------------------------------------------------------------
+# The region table
+
+
+class _RegionRow(NamedTuple):
+    vertices: tuple  # (axis, corner_minus, corner_plus) CanonicalMatrix
+    axes: tuple  # (i_max, i_mid, i_min): (ga, gb, gab) indices by |value|
+    signs: tuple  # (s_max, s_mid); the sign of the smallest varies inside
+    cell: int  # index into _CELLS
+
+
+def _region_row(region: ElementaryRegion) -> _RegionRow:
+    point = normalize_cube(region.representative()).triple()
+    axes = tuple(sorted(range(3), key=lambda k: abs(point[k]), reverse=True))
+    i_max, i_mid, i_min = axes
+    s_max, s_mid = (1 if point[k] > 0 else -1 for k in (i_max, i_mid))
+
+    def vertex(mid: int, low: int) -> CanonicalMatrix:
+        direction = [0, 0, 0]
+        direction[i_max], direction[i_mid], direction[i_min] = s_max, mid, low
+        return CANONICAL_MATRICES[tuple(direction)]
+
+    vertices = (vertex(0, 0), vertex(s_mid, -1), vertex(s_mid, 1))
+    return _RegionRow(vertices, axes, (s_max, s_mid), _cell(*point))
+
+
+_ROWS = tuple(_region_row(region) for region in REGIONS)  # indexed by region id
+# 6-bit sign code -> region id, -1 for the 40 codes no strict ordering has.
+_REGION_ID_BY_CODE = [-1] * 64
+for _region in REGIONS:
+    _REGION_ID_BY_CODE[_sign_code(*(s > 0 for s in _region.sign_vector))] = _region.id
+
+
+def region_of(P: PayoffMatrix) -> ElementaryRegion:
+    """The elementary region of a strict-generic game.
+
+    Raises TrivialGame for constant matrices and BoundaryGame for any other
+    tie, listing the regions adjacent to the boundary point: those whose sign
+    vector agrees with the game's on every nonzero difference.
+    """
+    a, b, c, d = P.a, P.b, P.c, P.d
+    if a == b or a == c or a == d or b == c or b == d or c == d:
+        if a == b == c == d:
+            raise TrivialGame("constant matrix belongs to no region")
+        entries = dict(zip(LABELS, P.entries()))
+        tied = tuple(
+            (x, y) for x, y in itertools.combinations(LABELS, 2) if entries[x] == entries[y]
+        )
+        signs = tuple((entries[x] > entries[y]) - (entries[x] < entries[y]) for x, y in _PAIRS)
+        adjacent = tuple(
+            r.id for r in REGIONS if all(s in (0, rs) for s, rs in zip(signs, r.sign_vector))
+        )
+        raise BoundaryGame(tied, adjacent)
+    return REGIONS[_REGION_ID_BY_CODE[_sign_code(a > c, b > d, a > b, c > d, a > d, b > c)]]
 
 
 def region_vertices(region: ElementaryRegion) -> tuple:
@@ -188,20 +253,7 @@ def region_vertices(region: ElementaryRegion) -> tuple:
     corners share the face and the second coordinate's sign, and differ in
     the sign of the smallest coordinate (minus first, plus second).
     """
-    (i_max, i_mid, i_min), (s_max, s_mid, _) = _axes_by_magnitude(region)
-    axis = [0, 0, 0]
-    axis[i_max] = s_max
-    corner_minus = [0, 0, 0]
-    corner_minus[i_max] = s_max
-    corner_minus[i_mid] = s_mid
-    corner_plus = list(corner_minus)
-    corner_minus[i_min] = -1
-    corner_plus[i_min] = 1
-    return (
-        CANONICAL_MATRICES[tuple(axis)],
-        CANONICAL_MATRICES[tuple(corner_minus)],
-        CANONICAL_MATRICES[tuple(corner_plus)],
-    )
+    return _ROWS[region.id].vertices
 
 
 # ---------------------------------------------------------------------------
@@ -219,37 +271,14 @@ class Decomposition:
     region: ElementaryRegion
 
 
-def _det3(m) -> Fraction:
-    return (
-        m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-        - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-        + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
-    )
-
-
-def _solve3(columns, target) -> tuple:
-    """Solve sum(y_k * columns[k]) = target exactly (Cramer's rule)."""
-    A = [[columns[k][r] for k in range(3)] for r in range(3)]
-    det = _det3(A)
-    if det == 0:
-        raise ArithmeticError("degenerate vertex triangle")
-    out = []
-    for k in range(3):
-        Ak = [row[:] for row in A]
-        for r in range(3):
-            Ak[r][k] = target[r]
-        out.append(_det3(Ak) / det)
-    return tuple(out)
-
-
 def decompose(P: PayoffMatrix) -> Decomposition:
     """Exact decomposition over the game's triangle vertices.
 
-    The trivial offset is the minimum entry; the rest is solved as a 3x3
-    rational linear system in (ga, gb, gab), which lands on nonnegative
-    weights because the triangle's cone contains the game.  Tied-entry games
-    sit on a shared boundary and are resolved toward the lowest-id adjacent
-    region (a vertex matrix, for example, decomposes to itself with weight 1).
+    The trivial offset is the minimum entry; the rest solves in closed form
+    over the region's axes, which lands on nonnegative weights because the
+    triangle's cone contains the game.  Tied-entry games sit on a shared
+    boundary and are resolved toward the lowest-id adjacent region (a vertex
+    matrix, for example, decomposes to itself with weight 1).
     """
     if P.is_constant():
         raise TrivialGame("constant matrix has no decomposition")
@@ -257,11 +286,17 @@ def decompose(P: PayoffMatrix) -> Decomposition:
         region = region_of(P)
     except BoundaryGame as exc:
         region = REGIONS[min(exc.adjacent_region_ids)]
-    axis, corner_minus, corner_plus = region_vertices(region)
+    row = _ROWS[region.id]
+    (i_max, i_mid, i_min), (s_max, s_mid) = row.axes, row.signs
+    # Vertex k has g-triple t_k * direction_k: the smallest coordinate splits
+    # the two corners, the middle one fixes their sum, the largest the axis.
+    x = g_transform(P).triple()
+    u_minus = (s_mid * x[i_mid] - x[i_min]) / 2
+    u_plus = (s_mid * x[i_mid] + x[i_min]) / 2
+    u_axis = s_max * x[i_max] - s_mid * x[i_mid]
+    axis, corner_minus, corner_plus = row.vertices
     ordered = (corner_minus, corner_plus, axis)
-    target = g_transform(P).triple()
-    columns = [g_transform(v.matrix).triple() for v in ordered]
-    y = _solve3(columns, target)
+    y = tuple(u / _vertex_scale(v.direction) for u, v in zip((u_minus, u_plus, u_axis), ordered))
     scale = sum(y)
     weights = tuple(yk / scale for yk in y)
     return Decomposition(P.min_entry(), scale, weights, ordered, region)
@@ -289,61 +324,19 @@ class MapPoint:
 
 
 def unfold(cp: CubePoint) -> MapPoint:
-    """Unfold a cube-surface point into the cross layout.
+    """Unfold a cube-surface point into the cross layout, exactly.
 
-    Layout (all exact):
-      gab=+1 face -> central square (u,v) = (ga, gb)
-      ga=+-1 faces -> side arms (+-2 -+ gab, gb)
-      gb=+-1 faces -> top/bottom arms (ga, +-2 -+ gab)
-      gab=-1 face -> four tip triangles, quartered by its diagonals, attached
-        to the arm sharing the cut edge; apex of each tip is the face center.
-    Points on edges or corners take the gab face first, then ga, then gb;
-    ties on the gab=-1 diagonals go to the first matching quarter below.
+    ``_CELLS`` lists the layout and ``_cell`` the rule for edges and corners.
     """
     ga, gb, gab = cp.triple()
-    if abs(gab) == 1:
-        if gab > 0:
-            return MapPoint(ga, gb, "gab+")
-        if ga >= abs(gb):
-            return MapPoint(4 - ga, gb, "gab-")
-        if ga <= -abs(gb):
-            return MapPoint(-4 - ga, gb, "gab-")
-        if gb >= abs(ga):
-            return MapPoint(ga, 4 - gb, "gab-")
-        return MapPoint(ga, -4 - gb, "gab-")
-    if abs(ga) == 1:
-        if ga > 0:
-            return MapPoint(2 - gab, gb, "ga+")
-        return MapPoint(-2 + gab, gb, "ga-")
-    if gb > 0:
-        return MapPoint(ga, 2 - gab, "gb+")
-    return MapPoint(ga, -2 + gab, "gb-")
+    face_tag, to_plane = _CELLS[_cell(ga, gb, gab)]
+    u, v = to_plane(ga, gb, gab)
+    return MapPoint(u, v, face_tag)
 
 
 def map_point(P: PayoffMatrix) -> MapPoint:
     """Map a non-constant game onto the unfolded cube."""
     return unfold(normalize_cube(P))
-
-
-def _arm_transform(i_max: int, s_max: int, i_mid: int, s_mid: int) -> Callable:
-    """The unfolding formula of one region's cell, applied to (ga, gb, gab)."""
-    if i_max == 2:
-        if s_max > 0:
-            return lambda t: (t[0], t[1])
-        if i_mid == 0:
-            if s_mid > 0:
-                return lambda t: (4 - t[0], t[1])
-            return lambda t: (-4 - t[0], t[1])
-        if s_mid > 0:
-            return lambda t: (t[0], 4 - t[1])
-        return lambda t: (t[0], -4 - t[1])
-    if i_max == 0:
-        if s_max > 0:
-            return lambda t: (2 - t[2], t[1])
-        return lambda t: (-2 + t[2], t[1])
-    if s_max > 0:
-        return lambda t: (t[0], 2 - t[2])
-    return lambda t: (t[0], -2 + t[2])
 
 
 def region_triangle(region: ElementaryRegion) -> tuple:
@@ -352,12 +345,10 @@ def region_triangle(region: ElementaryRegion) -> tuple:
     Each region is drawn inside its own unfolded cell, so cells that share a
     cut edge each keep their copy of it.
     """
-    (i_max, i_mid, i_min), (s_max, s_mid, _) = _axes_by_magnitude(region)
-    to_plane = _arm_transform(i_max, s_max, i_mid, s_mid)
-    axis, corner_minus, corner_plus = region_vertices(region)
+    row = _ROWS[region.id]
+    to_plane = _CELLS[row.cell][1]
     return tuple(
-        to_plane(tuple(Fraction(x) for x in vertex.direction))
-        for vertex in (axis, corner_minus, corner_plus)
+        to_plane(*(Fraction(x) for x in vertex.direction)) for vertex in row.vertices
     )
 
 
@@ -383,7 +374,7 @@ def trajectory(P0: PayoffMatrix, P1: PayoffMatrix, n: int) -> tuple:
     Samples that land on a region boundary are flagged rather than fatal;
     constant-matrix samples additionally lack a map point.
     """
-    from .taxonomy import classify  # deferred: taxonomy builds on this module
+    from .taxonomy import CLASS_TABLE, region_class_index  # deferred: taxonomy imports this
 
     if n < 2:
         raise ValueError("a trajectory needs at least two samples")
@@ -397,7 +388,7 @@ def trajectory(P0: PayoffMatrix, P1: PayoffMatrix, n: int) -> tuple:
         boundary = False
         if not trivial:
             try:
-                game_class = classify(M).game_class
+                game_class = CLASS_TABLE[region_class_index(region_of(M).id)]
             except BoundaryGame:
                 boundary = True
         samples.append(TrajectorySample(t, M, point, game_class, boundary, trivial))
@@ -406,24 +397,6 @@ def trajectory(P0: PayoffMatrix, P1: PayoffMatrix, n: int) -> tuple:
 
 # ---------------------------------------------------------------------------
 # Monte Carlo region measure
-
-# Entry coefficients over (ga, gb, gab) for vectorized sign classification.
-_ENTRY_COEFS = np.array(
-    [_ENTRY_PATTERNS[label] for label in LABELS], dtype=np.float64
-) / 2.0
-
-
-def _permutation_lut() -> np.ndarray:
-    lut = np.full(256, -1, dtype=np.int64)
-    for region in REGIONS:
-        idxs = tuple(LABELS.index(l) for l in region.ordering)
-        code = ((idxs[0] * 4 + idxs[1]) * 4 + idxs[2]) * 4 + idxs[3]
-        lut[code] = region.id
-    return lut
-
-
-_PERM_LUT = _permutation_lut()
-
 
 @dataclass(frozen=True)
 class MCRegionReport:
@@ -456,10 +429,10 @@ def mc_region_fractions(n_samples: int, seed: int, n_workers: int = 1) -> MCRegi
     """Estimate region and class measures from uniform sphere directions.
 
     Directions are normalized iid standard normals; each sample is assigned
-    to its region by the exact sign pattern (the entry ordering), then rolled
-    up to taxonomy classes.  Samples are partitioned across ``n_workers``
-    streams derived from (seed, worker index), so results are reproducible
-    for a fixed seed and worker count.
+    to its region by the exact sign pattern of the six entry differences,
+    then rolled up to taxonomy classes.  Samples are partitioned across
+    ``n_workers`` streams derived from (seed, worker index), so results are
+    reproducible for a fixed seed and worker count.
     """
     from .taxonomy import region_class_index
 
@@ -474,12 +447,12 @@ def mc_region_fractions(n_samples: int, seed: int, n_workers: int = 1) -> MCRegi
         if m == 0:
             continue
         rng = np.random.default_rng([seed, worker])
-        directions = rng.standard_normal((m, 3))
-        # Ordering is scale-invariant, so the explicit normalization cancels.
-        entries = directions @ _ENTRY_COEFS.T
-        order = np.argsort(-entries, axis=1)
-        codes = ((order[:, 0] * 4 + order[:, 1]) * 4 + order[:, 2]) * 4 + order[:, 3]
-        region_counts += np.bincount(_PERM_LUT[codes], minlength=24)
+        # Signs are scale-invariant, so the explicit normalization cancels.
+        # a-c = ga+gab, b-d = ga-gab, a-b = gb+gab, c-d = gb-gab, a-d = ga+gb
+        # and b-c = ga-gb, each compared with 0 exactly as x > -y or x > y.
+        ga, gb, gab = rng.standard_normal((m, 3)).T
+        codes = _sign_code(ga > -gab, ga > gab, gb > -gab, gb > gab, ga > -gb, ga > gb)
+        region_counts += np.bincount(np.take(_REGION_ID_BY_CODE, codes), minlength=24)
     class_counts = [0] * 9
     for region_id, count in enumerate(region_counts):
         class_counts[region_class_index(region_id)] += int(count)

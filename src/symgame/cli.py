@@ -19,6 +19,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .cartography import (
+    REGIONS,
     BoundaryGame,
     decompose,
     map_point,
@@ -222,8 +223,9 @@ def _matrix_arg(text: str) -> PayoffMatrix:
     stripped = text.strip()
     if stripped.startswith("{"):
         try:
-            obj = json.loads(stripped, parse_float=Fraction)
-        except json.JSONDecodeError as exc:
+            # Numbers stay literal text, so the payoff bounds apply to them.
+            obj = json.loads(stripped, parse_float=str, parse_int=str)
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise ValueError(f"bad JSON matrix: {exc}") from exc
         return matrix_from_json(obj)
     return parse_matrix(stripped)
@@ -282,42 +284,38 @@ def _cmd_map(args) -> int:
     return 0
 
 
+def _estimate_doc(exact: Fraction, estimate: float, std_error: float) -> dict:
+    return {
+        "exact": _rat(exact),
+        "exact_decimal": float(exact),
+        "estimate": estimate,
+        "abs_error": abs(estimate - float(exact)),
+        "std_error": std_error,
+    }
+
+
 def _fractions_doc(report) -> dict:
     class_fractions = report.class_fractions()
     class_errors = report.class_std_errors()
     region_fractions = report.region_fractions()
     region_errors = report.region_std_errors()
-    classes = []
-    for k, record in enumerate(CLASS_TABLE):
-        exact = record.fraction
-        classes.append(
-            {
-                "index": k,
-                "name": record.display_name,
-                "exact": _rat(exact),
-                "exact_decimal": float(exact),
-                "estimate": class_fractions[k],
-                "abs_error": abs(class_fractions[k] - float(exact)),
-                "std_error": class_errors[k],
-            }
-        )
-    regions = []
-    from .cartography import REGIONS
-
-    for region in REGIONS:
-        exact = Fraction(1, 24)
-        regions.append(
-            {
-                "id": region.id,
-                "ordering": region.ordering_text,
-                "class_index": region_class_index(region.id),
-                "exact": _rat(exact),
-                "exact_decimal": float(exact),
-                "estimate": region_fractions[region.id],
-                "abs_error": abs(region_fractions[region.id] - float(exact)),
-                "std_error": region_errors[region.id],
-            }
-        )
+    classes = [
+        {
+            "index": k,
+            "name": record.display_name,
+            **_estimate_doc(record.fraction, class_fractions[k], class_errors[k]),
+        }
+        for k, record in enumerate(CLASS_TABLE)
+    ]
+    regions = [
+        {
+            "id": region.id,
+            "ordering": region.ordering_text,
+            "class_index": region_class_index(region.id),
+            **_estimate_doc(Fraction(1, 24), region_fractions[region.id], region_errors[region.id]),
+        }
+        for region in REGIONS
+    ]
     return {
         "schema": "fractions.v1",
         "samples": report.n_samples,
@@ -468,3 +466,7 @@ def main(argv: Optional[list] = None) -> int:
 
 def console_entry() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    console_entry()

@@ -18,6 +18,7 @@ involution, which makes round trips exact.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
@@ -35,14 +36,34 @@ class TrivialGame(ValueError):
     """Raised when an operation needs a non-constant payoff matrix."""
 
 
+#: Text values are bounded before ``Fraction`` parses them, so that hostile
+#: input cannot build huge integers.
+_TEXT_BOUNDS = "text must be at most 64 characters, with |exponent| <= 300 and |value| <= 1e300"
+_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)")
+_MAX_MAGNITUDE = 10 ** 300
+
+
 def _as_fraction(value: Rational, what: str = "payoff") -> Fraction:
-    """Coerce an input value to Fraction, converting decimal strings exactly."""
+    """Coerce an input value to Fraction, converting decimal strings exactly.
+
+    Booleans are rejected.  Strings hold at most 64 characters, a decimal
+    exponent of at most 300 and a value of at most 10**300 in absolute value.
+    """
     if isinstance(value, Fraction):
         return value
+    if isinstance(value, bool):
+        raise ValueError(f"bad {what} value {value!r}")
+    if isinstance(value, str):
+        exponent = _EXPONENT.search(value)
+        if len(value) > 64 or exponent and abs(int(exponent.group(1))) > 300:
+            raise ValueError(f"bad {what} value {value[:64]!r}: {_TEXT_BOUNDS}")
     try:
-        return Fraction(value)
-    except (ValueError, ZeroDivisionError, TypeError) as exc:
+        result = Fraction(value)
+    except (ValueError, ZeroDivisionError, TypeError, OverflowError) as exc:
         raise ValueError(f"bad {what} value {value!r}") from exc
+    if isinstance(value, str) and abs(result) > _MAX_MAGNITUDE:
+        raise ValueError(f"bad {what} value {value!r}: {_TEXT_BOUNDS}")
+    return result
 
 
 @dataclass(frozen=True)
@@ -50,7 +71,7 @@ class PayoffMatrix:
     """Row player's payoff matrix of a symmetric 2x2 game.
 
     Accepts ints, Fractions, or strings like "3", "0.5", "-2/7"; decimal
-    strings convert exactly.
+    strings convert exactly, within the bounds of ``_as_fraction``.
     """
 
     a: Fraction
@@ -264,7 +285,7 @@ def matrix_from_json(obj: object) -> PayoffMatrix:
     if not isinstance(obj, dict) or "payoff" not in obj:
         raise ValueError("JSON matrix must be an object with a 'payoff' key")
     payoff = obj["payoff"]
-    if not isinstance(payoff, (list, tuple)):
+    if not isinstance(payoff, (list, tuple)) or not all(isinstance(r, (list, tuple)) for r in payoff):
         raise ValueError("'payoff' must be a 2x2 array")
     return PayoffMatrix.from_rows(payoff)
 

@@ -160,10 +160,12 @@ def _marker_elements(markers) -> list:
             f'fill="black"/>'
         )
         if label:
+            # What xml.sax.saxutils.escape does, without importing urllib and ssl.
+            text = label.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
             parts.append(
                 f'  <text x="{_fmt(point.u + Fraction(1, 8))}" '
                 f'y="{_fmt(-point.v - Fraction(1, 10))}" font-size="0.2" '
-                f'font-family="sans-serif">{label}</text>'
+                f'font-family="sans-serif">{text}</text>'
             )
     return parts
 

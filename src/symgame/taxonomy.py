@@ -133,13 +133,8 @@ CLASS_TABLE = tuple(
     for cat, po, cmp_, count, name, example, _ in _ROW_SPECS
 )
 
-_REGION_ROW = {}
-for _row_index, _spec in enumerate(_ROW_SPECS):
-    for _text in _spec[6]:
-        _ordering = tuple(_text.split(">"))
-        _REGION_ROW[_ordering] = _row_index
-
-REGION_ROW = {r.id: _REGION_ROW[r.ordering] for r in REGIONS}
+_ROW_OF_ORDERING = {text: k for k, spec in enumerate(_ROW_SPECS) for text in spec[6]}
+REGION_ROW = {r.id: _ROW_OF_ORDERING[r.ordering_text] for r in REGIONS}
 
 
 def region_class_index(region_id: int) -> int:

@@ -2,16 +2,19 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from symgame.cartography import (
     ALL_ORDERINGS,
     BoundaryGame,
     CANONICAL_DIRECTIONS,
     CANONICAL_MATRICES,
+    LABELS,
     REGIONS,
     decompose,
     map_point,
@@ -33,6 +36,14 @@ def random_generic_matrix(rng: random.Random, span: int = 12) -> PayoffMatrix:
         P = random_matrix(rng, span)
         if len(set(P.entries())) == 4:
             return P
+
+
+# Small integers make ties common; fractions exercise exact rational paths.
+_entries = st.one_of(
+    st.integers(-6, 6).map(Fraction),
+    st.fractions(min_value=-20, max_value=20, max_denominator=12),
+)
+games = st.tuples(_entries, _entries, _entries, _entries).map(lambda e: PayoffMatrix(*e))
 
 
 # ---------------------------------------------------------------------------
@@ -63,6 +74,30 @@ def test_region_of_known_games() -> None:
 def test_region_of_rejects_constant() -> None:
     with pytest.raises(TrivialGame):
         region_of(PayoffMatrix.constant(3))
+
+
+@settings(deadline=None)
+@given(games)
+def test_region_of_matches_sort_oracle(P: PayoffMatrix) -> None:
+    assume(not P.is_constant())
+    entries = dict(zip(LABELS, P.entries()))
+    tied = tuple(
+        (x, y) for x, y in itertools.combinations(LABELS, 2) if entries[x] == entries[y]
+    )
+    # A region's closure holds the game when a stable descending sort of the
+    # region's ordering leaves it unchanged.
+    adjacent = tuple(
+        k
+        for k, ordering in enumerate(ALL_ORDERINGS)
+        if sorted(ordering, key=entries.__getitem__, reverse=True) == list(ordering)
+    )
+    if tied:
+        with pytest.raises(BoundaryGame) as excinfo:
+            region_of(P)
+        assert excinfo.value.tied_pairs == tied
+        assert excinfo.value.adjacent_region_ids == adjacent
+    else:
+        assert (region_of(P).id,) == adjacent
 
 
 def test_region_of_flags_boundaries_with_neighbours() -> None:
@@ -169,17 +204,19 @@ def test_decompose_negative_entries_example() -> None:
     assert reconstruct(dec) == P
 
 
-def test_decompose_properties_on_random_games() -> None:
-    rng = random.Random(81)
-    for _ in range(400):
-        P = random_generic_matrix(rng)
-        dec = decompose(P)
-        assert dec.trivial_offset == P.min_entry()
-        assert dec.scale > 0
-        assert sum(dec.weights) == 1
+@settings(deadline=None)
+@given(games)
+def test_decompose_properties_on_random_games(P: PayoffMatrix) -> None:
+    assume(not P.is_constant())
+    dec = decompose(P)
+    assert reconstruct(dec) == P
+    assert dec.trivial_offset == P.min_entry()
+    assert dec.scale > 0
+    assert sum(dec.weights) == 1
+    assert all(w >= 0 for w in dec.weights)
+    if len(set(P.entries())) == 4:
         assert all(w > 0 for w in dec.weights)
         assert dec.region is region_of(P)
-        assert reconstruct(dec) == P
 
 
 def test_decompose_boundary_resolves_to_lowest_region() -> None:
@@ -291,17 +328,17 @@ def test_region_triangle_contains_its_representatives_point() -> None:
         assert s * _orientation(r, p, (pt.u, pt.v)) > 0
 
 
-def test_random_games_map_into_their_region_triangle() -> None:
-    rng = random.Random(83)
-    for _ in range(200):
-        P = random_generic_matrix(rng)
-        region = region_of(P)
-        pt = map_point(P)
-        p, q, r = region_triangle(region)
-        s = 1 if _orientation(p, q, r) > 0 else -1
-        assert s * _orientation(p, q, (pt.u, pt.v)) > 0
-        assert s * _orientation(q, r, (pt.u, pt.v)) > 0
-        assert s * _orientation(r, p, (pt.u, pt.v)) > 0
+@settings(deadline=None)
+@given(games)
+def test_random_games_map_into_their_region_triangle(P: PayoffMatrix) -> None:
+    assume(len(set(P.entries())) == 4)
+    region = region_of(P)
+    pt = map_point(P)
+    p, q, r = region_triangle(region)
+    s = 1 if _orientation(p, q, r) > 0 else -1
+    assert s * _orientation(p, q, (pt.u, pt.v)) > 0
+    assert s * _orientation(q, r, (pt.u, pt.v)) > 0
+    assert s * _orientation(r, p, (pt.u, pt.v)) > 0
 
 
 # ---------------------------------------------------------------------------

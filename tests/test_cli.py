@@ -5,12 +5,17 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
 import shutil
 import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
+
+import symgame
 
 from symgame.cli import build_report, main
 from symgame.payoff import PayoffMatrix
@@ -119,6 +124,38 @@ def test_classify_parse_errors_exit_2(capsys) -> None:
         assert out == "" and err.startswith("error:")
     _, _, err = run_cli(capsys, "classify", "1,x;3,4")
     assert "'x'" in err
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        '{"payoff": [[true, false], [2, 3]]}',
+        "1e400,1;2,3",
+        "1e-999999,1;2,3",
+        '{"payoff": [[1e400, 0], [2, 3]]}',
+        "1" * 65 + ",1;2,3",
+        "{\"payoff\": [[" + "1" * 5000 + ", 0], [2, 3]]}",
+        "9" * 60 + "e300,1;2,3",
+        '{"payoff": [[Infinity, 0], [2, 3]]}',
+        '{"payoff": [1, 2]}',
+        '{"payoff": ' + "[" * 100_000,
+    ],
+    ids=[
+        "json-bool", "exponent-high", "exponent-low", "json-exponent", "long-literal",
+        "json-long-int", "magnitude", "json-infinity", "json-flat-array", "json-deep-nesting",
+    ],
+)
+def test_classify_hostile_input_exits_2(capsys, bad) -> None:
+    code, out, err = run_cli(capsys, "classify", "--", bad)
+    assert code == 2
+    assert out == "" and err.startswith("error:") and err.count("\n") == 1
+    assert "int_max_str_digits" not in err
+
+
+def test_classify_accepts_literals_at_the_bounds(capsys) -> None:
+    for text in ("1e300,-1e300;1e-300,2", "9" * 64 + ",1;2,3"):
+        code, _, err = run_cli(capsys, "classify", "--", text)
+        assert code == 0 and err == ""
 
 
 def test_unknown_subcommand_exits_2(capsys) -> None:
@@ -311,3 +348,15 @@ def test_console_script_smoke() -> None:
     )
     assert result.returncode == 0
     assert "Chicken" in result.stdout
+
+
+@pytest.mark.parametrize("module", ["symgame", "symgame.cli"])
+def test_python_m_runs_the_cli(module) -> None:
+    env = {**os.environ, "PYTHONPATH": str(Path(symgame.__file__).parents[1])}
+    result = subprocess.run(
+        [sys.executable, "-m", module, "census"],
+        capture_output=True, text=True, check=False, env=env, timeout=60,
+    )
+    assert result.returncode == 0
+    assert "Chicken" in result.stdout
+    assert result.stdout.strip().splitlines()[-1].split() == ["total", "24", "24"]

@@ -1,0 +1,92 @@
+"""Golden outputs: CLI documents, Monte Carlo counts and SVG bytes, pinned.
+
+The digests were recorded before the region table replaced the per-function
+region computations; any byte that changes in these outputs fails here.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import random
+from fractions import Fraction
+
+from symgame.cartography import CANONICAL_MATRICES, map_point, mc_region_fractions, trajectory
+from symgame.cli import main
+from symgame.payoff import PayoffMatrix
+from symgame.svgmap import render_map
+from symgame.taxonomy import enumerate_ordinal_games
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def _seeded_games() -> list:
+    """Tied games and games with p/q entries, drawn from a fixed seed."""
+    rng = random.Random(20260)
+    games = []
+    for _ in range(40):
+        games.append(PayoffMatrix(*(rng.randint(-2, 2) for _ in range(4))))
+    for _ in range(40):
+        games.append(
+            PayoffMatrix(*(Fraction(rng.randint(-30, 30), rng.randint(1, 9)) for _ in range(4)))
+        )
+    return games
+
+
+def _golden_games() -> list:
+    return (
+        list(enumerate_ordinal_games())
+        + [v.matrix for v in CANONICAL_MATRICES.values()]
+        + _seeded_games()
+    )
+
+
+def _matrix_text(P: PayoffMatrix) -> str:
+    return f"{P.a},{P.b};{P.c},{P.d}"
+
+
+def _cli_stdout(capsys, *argv) -> str:
+    assert main(list(argv)) == 0
+    return capsys.readouterr().out
+
+
+def test_mc_region_counts_are_pinned() -> None:
+    assert mc_region_fractions(100_000, 0, 2).region_counts == (
+        4256, 4098, 4176, 4227, 4115, 4094, 4101, 4119, 4093, 4146, 4273, 4215,
+        4228, 4128, 4141, 4222, 4003, 4305, 4186, 4154, 4239, 4057, 4197, 4227,
+    )
+    assert mc_region_fractions(100_001, 5, 3).region_counts == (
+        4243, 4158, 4185, 4191, 4194, 4191, 4126, 4095, 4201, 4232, 4155, 4165,
+        4115, 4167, 4163, 4201, 4180, 4147, 4156, 4200, 4041, 4206, 4151, 4138,
+    )
+
+
+def test_cli_documents_are_pinned(capsys) -> None:
+    digests = {}
+    for command in (("classify", "--json"), ("decompose",), ("ordergraph",)):
+        out = "".join(
+            _cli_stdout(capsys, command[0], *command[1:], "--", _matrix_text(P))
+            for P in _golden_games()
+        )
+        digests[command[0]] = _sha(out)
+    assert digests == {
+        "classify": "77a68d50e7ff0e5934540d65dba6f3d0d7320da92bd278706abef278279b82ca",
+        "decompose": "dd158ae56db2d3735eef521c0f40834a2bb9d1505380e7e2aaf403e5213be304",
+        "ordergraph": "ec678e65300e2660a099307ce92fb70b82f8a6643d7aac9fe64f632596fa5896",
+    }
+
+
+def test_fractions_document_is_pinned(capsys) -> None:
+    out = _cli_stdout(
+        capsys, "fractions", "--format", "json", "--samples", "100000",
+        "--seed", "0", "--workers", "2",
+    )
+    assert _sha(out) == "59ea583a3be423a1e58e5b907bcda4e513da75079e533032ea0290a1658f5bce"
+
+
+def test_map_svg_is_pinned() -> None:
+    markers = [(map_point(P), str(P)) for P in _golden_games() if not P.is_constant()]
+    path = trajectory(PayoffMatrix(-9, -3, -1, 1), PayoffMatrix(9, 15, 5, 7), 101)
+    svg = render_map(markers=markers, trajectories=[[s.point for s in path]])
+    assert _sha(svg) == "9b0cf30143cd0c20fe7ddec7ac0215bb5d684b6fc7591a6e63db98edc0487243"

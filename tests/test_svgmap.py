@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import xml.etree.ElementTree as ET
 from fractions import Fraction
 
 from symgame.cartography import MapPoint, map_point, trajectory
@@ -63,3 +64,9 @@ def test_trajectory_rendering_marks_ends() -> None:
     assert svg.count("<polyline") >= 1
     assert svg.count('r="0.09"') == 2  # filled start, hollow end
     assert 'fill="white" stroke="#e41a1c"' in svg
+
+
+def test_marker_labels_are_escaped() -> None:
+    svg = render_map(markers=[(map_point(PayoffMatrix(3, 1, 4, 2)), "a<b & c")])
+    texts = [el.text for el in ET.fromstring(svg).iter("{http://www.w3.org/2000/svg}text")]
+    assert "a<b & c" in texts
