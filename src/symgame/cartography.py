@@ -35,21 +35,14 @@ import numpy as np
 from .payoff import (
     PayoffMatrix,
     CubePoint,
+    GVector,
     TrivialGame,
     g_transform,
+    inverse_g_transform,
     normalize_cube,
 )
 
 LABELS = ("a", "b", "c", "d")
-
-# Sign patterns of each entry over (ga, gb, gab); row k of the inverse
-# transform, doubled.  Used to build canonical vertex matrices.
-_ENTRY_PATTERNS = {
-    "a": (1, 1, 1),
-    "b": (1, -1, -1),
-    "c": (-1, 1, -1),
-    "d": (-1, -1, 1),
-}
 
 #: All strict orderings of the four entries, largest first; index = region id.
 ALL_ORDERINGS = tuple(itertools.permutations(LABELS))
@@ -126,17 +119,9 @@ def _vertex_scale(direction: tuple) -> int:
 
 
 def _canonical(direction: tuple) -> CanonicalMatrix:
-    da, db, dab = direction
     t = _vertex_scale(direction)
-    raw = {
-        label: Fraction(t * (p[0] * da + p[1] * db + p[2] * dab), 2)
-        for label, p in _ENTRY_PATTERNS.items()
-    }
-    low = min(raw.values())
-    return CanonicalMatrix(
-        direction,
-        PayoffMatrix(*(raw[label] - low for label in LABELS)),
-    )
+    raw = inverse_g_transform(GVector(0, *(t * x for x in direction)))
+    return CanonicalMatrix(direction, raw - PayoffMatrix.constant(raw.min_entry()))
 
 
 _AXIS_DIRECTIONS = (
@@ -398,6 +383,9 @@ def trajectory(P0: PayoffMatrix, P1: PayoffMatrix, n: int) -> tuple:
 # ---------------------------------------------------------------------------
 # Monte Carlo region measure
 
+_MC_BLOCK = 65_536  # samples drawn per sampler call; bounds memory per stream
+
+
 @dataclass(frozen=True)
 class MCRegionReport:
     """Sampled region/class frequencies with binomial standard errors."""
@@ -442,17 +430,19 @@ def mc_region_fractions(n_samples: int, seed: int, n_workers: int = 1) -> MCRegi
         raise ValueError("need at least one worker")
     region_counts = np.zeros(24, dtype=np.int64)
     base, rem = divmod(n_samples, n_workers)
-    for worker in range(n_workers):
+    # Workers past the n_samples-th would draw nothing.
+    for worker in range(min(n_workers, n_samples)):
         m = base + (1 if worker < rem else 0)
-        if m == 0:
-            continue
         rng = np.random.default_rng([seed, worker])
-        # Signs are scale-invariant, so the explicit normalization cancels.
-        # a-c = ga+gab, b-d = ga-gab, a-b = gb+gab, c-d = gb-gab, a-d = ga+gb
-        # and b-c = ga-gb, each compared with 0 exactly as x > -y or x > y.
-        ga, gb, gab = rng.standard_normal((m, 3)).T
-        codes = _sign_code(ga > -gab, ga > gab, gb > -gab, gb > gab, ga > -gb, ga > gb)
-        region_counts += np.bincount(np.take(_REGION_ID_BY_CODE, codes), minlength=24)
+        # Successive blocks continue the stream, so the block size changes
+        # memory use but not the samples.
+        for start in range(0, m, _MC_BLOCK):
+            # Signs are scale-invariant, so the explicit normalization cancels.
+            # a-c = ga+gab, b-d = ga-gab, a-b = gb+gab, c-d = gb-gab, a-d = ga+gb
+            # and b-c = ga-gb, each compared with 0 exactly as x > -y or x > y.
+            ga, gb, gab = rng.standard_normal((min(_MC_BLOCK, m - start), 3)).T
+            codes = _sign_code(ga > -gab, ga > gab, gb > -gab, gb > gab, ga > -gb, ga > gb)
+            region_counts += np.bincount(np.take(_REGION_ID_BY_CODE, codes), minlength=24)
     class_counts = [0] * 9
     for region_id, count in enumerate(region_counts):
         class_counts[region_class_index(region_id)] += int(count)

@@ -25,7 +25,6 @@ from .cartography import (
     map_point,
     mc_region_fractions,
     reconstruct,
-    region_of,
     trajectory,
 )
 from .equilibria import (
@@ -47,6 +46,10 @@ from .payoff import (
 )
 from .svgmap import render_map
 from .taxonomy import CLASS_TABLE, census, classify, region_class_index
+
+# Upper bounds on the sample counts a command line may ask for.
+_MAX_SAMPLES = 10 ** 9
+_MAX_TRAJECTORY_SAMPLES = 100_000
 
 
 def _rat(value) -> str:
@@ -95,6 +98,13 @@ def _decomposition_doc(P: PayoffMatrix) -> dict:
         ],
         "reconstruction_exact": reconstruct(dec) == P,
     }
+
+
+# The keys of ``_decomposition_doc``, all None in decompose.v1 for a constant matrix.
+_DECOMPOSITION_KEYS = (
+    "region", "offset", "offset_decimal", "scale", "scale_decimal",
+    "weights", "weights_decimal", "vertices", "reconstruction_exact",
+)
 
 
 def build_report(P: PayoffMatrix) -> dict:
@@ -244,6 +254,8 @@ def _parse_trajectory_spec(text: str):
         n = int(parts[4])
     except ValueError as exc:
         raise ValueError(f"bad sample count {parts[4]!r} in trajectory spec") from exc
+    if n > _MAX_TRAJECTORY_SAMPLES:
+        raise ValueError(f"trajectory sample count must be at most {_MAX_TRAJECTORY_SAMPLES:,}")
     return start, end, n
 
 
@@ -327,23 +339,23 @@ def _fractions_doc(report) -> dict:
 
 
 def _cmd_fractions(args) -> int:
+    if args.samples > _MAX_SAMPLES:
+        raise ValueError(f"--samples must be at most {_MAX_SAMPLES:,}")
     report = mc_region_fractions(args.samples, args.seed, args.workers)
     doc = _fractions_doc(report)
     if args.format == "json":
         print(json.dumps(doc, indent=2))
         return 0
+    columns = ("estimate", "abs_error", "std_error")
     writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerow(["kind", "id", "name", "exact", "estimate", "abs_error", "std_error"])
-    for row in doc["classes"]:
-        writer.writerow(
-            ["class", row["index"], row["name"], row["exact"],
-             f"{row['estimate']:.9f}", f"{row['abs_error']:.9f}", f"{row['std_error']:.9f}"]
-        )
-    for row in doc["regions"]:
-        writer.writerow(
-            ["region", row["id"], row["ordering"], row["exact"],
-             f"{row['estimate']:.9f}", f"{row['abs_error']:.9f}", f"{row['std_error']:.9f}"]
-        )
+    writer.writerow(["kind", "id", "name", "exact", *columns])
+    for kind, rows, key, name in (
+        ("class", doc["classes"], "index", "name"),
+        ("region", doc["regions"], "id", "ordering"),
+    ):
+        for row in rows:
+            decimals = (f"{row[c]:.9f}" for c in columns)
+            writer.writerow([kind, row[key], row[name], row["exact"], *decimals])
     return 0
 
 
@@ -374,31 +386,16 @@ def _cmd_ordergraph(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
-    P = _matrix_arg(args.matrix)
+    """Print the decompose.v1 view of the game's report.v1 document."""
+    report = build_report(_matrix_arg(args.matrix))
+    degenerate = report["degenerate"]
     doc = {
         "schema": "decompose.v1",
-        "degenerate": None,
-        "boundary": False,
-        "matrix": _matrix_doc(P),
-        "region": None,
-        "offset": None,
-        "offset_decimal": None,
-        "scale": None,
-        "scale_decimal": None,
-        "weights": None,
-        "weights_decimal": None,
-        "vertices": None,
-        "reconstruction_exact": None,
+        "degenerate": "trivial" if degenerate == "trivial" else None,
+        "boundary": degenerate == "boundary",
+        "matrix": report["matrix"],
+        **(report["decomposition"] or dict.fromkeys(_DECOMPOSITION_KEYS)),
     }
-    if P.is_constant():
-        doc["degenerate"] = "trivial"
-        print(json.dumps(doc, indent=2))
-        return 0
-    try:
-        region_of(P)
-    except BoundaryGame:
-        doc["boundary"] = True
-    doc.update(_decomposition_doc(P))
     print(json.dumps(doc, indent=2))
     return 0
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -409,6 +410,20 @@ def test_mc_statistical_sanity() -> None:
     report = mc_region_fractions(100_000, seed=17)
     for frac in report.region_fractions():
         assert abs(frac - 1 / 24) < 0.01
+
+
+def test_mc_memory_is_bounded_by_the_sampler_block() -> None:
+    tracemalloc.start()
+    try:
+        mc_region_fractions(10**6, 0, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
+def test_mc_workers_beyond_the_samples_stay_idle() -> None:
+    assert mc_region_fractions(3, 0, 10**9).region_counts == mc_region_fractions(3, 0, 3).region_counts
 
 
 def test_mc_single_sample_and_validation() -> None:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import json
@@ -14,6 +15,7 @@ from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import symgame
 
@@ -127,26 +129,31 @@ def test_classify_parse_errors_exit_2(capsys) -> None:
 
 
 @pytest.mark.parametrize(
-    "bad",
+    "argv",
     [
-        '{"payoff": [[true, false], [2, 3]]}',
-        "1e400,1;2,3",
-        "1e-999999,1;2,3",
-        '{"payoff": [[1e400, 0], [2, 3]]}',
-        "1" * 65 + ",1;2,3",
-        "{\"payoff\": [[" + "1" * 5000 + ", 0], [2, 3]]}",
-        "9" * 60 + "e300,1;2,3",
-        '{"payoff": [[Infinity, 0], [2, 3]]}',
-        '{"payoff": [1, 2]}',
-        '{"payoff": ' + "[" * 100_000,
+        ("classify", "--", '{"payoff": [[true, false], [2, 3]]}'),
+        ("classify", "--", "1e400,1;2,3"),
+        ("classify", "--", "1e-999999,1;2,3"),
+        ("classify", "--", '{"payoff": [[1e400, 0], [2, 3]]}'),
+        ("classify", "--", "1" * 65 + ",1;2,3"),
+        ("classify", "--", "{\"payoff\": [[" + "1" * 5000 + ", 0], [2, 3]]}"),
+        ("classify", "--", "9" * 60 + "e300,1;2,3"),
+        ("classify", "--", '{"payoff": [[Infinity, 0], [2, 3]]}'),
+        ("classify", "--", '{"payoff": [1, 2]}'),
+        ("classify", "--", '{"payoff": ' + "[" * 100_000),
+        ("fractions", "--samples", "1000000001"),
+        ("fractions", "--samples", "1000000000000000"),
+        ("map", "--trajectory=1,2;3,4;5,6;7,8;100001"),
     ],
     ids=[
         "json-bool", "exponent-high", "exponent-low", "json-exponent", "long-literal",
         "json-long-int", "magnitude", "json-infinity", "json-flat-array", "json-deep-nesting",
+        "fractions-samples", "fractions-samples-huge", "trajectory-samples",
     ],
 )
-def test_classify_hostile_input_exits_2(capsys, bad) -> None:
-    code, out, err = run_cli(capsys, "classify", "--", bad)
+def test_classify_hostile_input_exits_2(capsys, argv) -> None:
+    """Hostile input to any command exits 2 with one error line."""
+    code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == "" and err.startswith("error:") and err.count("\n") == 1
     assert "int_max_str_digits" not in err
@@ -197,6 +204,51 @@ def test_decompose_boundary_flagged_not_fatal(capsys) -> None:
     assert doc["region"] == {"id": 0, "ordering": "a>b>c>d"}
     assert doc["weights"] == ["0", "0", "1"]
     assert doc["reconstruction_exact"] is True
+
+
+# Bounded payoff literals: ints, p/q, short decimals, and small pools that
+# make tied and constant games common.
+_literals = st.one_of(
+    st.integers(-10**6, 10**6).map(str),
+    st.builds("{}/{}".format, st.integers(-999, 999), st.integers(1, 999)),
+    st.from_regex(r"-?[0-9]{1,3}\.[0-9]{1,3}", fullmatch=True),
+)
+_games = st.one_of(
+    st.lists(_literals, min_size=4, max_size=4),
+    st.lists(st.sampled_from(["0", "1", "-1", "1/2", "0.5"]), min_size=4, max_size=4),
+    _literals.map(lambda x: [x] * 4),
+)
+
+
+_validators = {
+    name: jsonschema.Draft7Validator(_schema(f"{name}.json")) for name in ("report.v1", "decompose.v1")
+}
+
+
+def _stdout(*argv) -> str:
+    buffer = io.StringIO()
+    with contextlib.redirect_stdout(buffer):
+        assert main(list(argv)) == 0
+    return buffer.getvalue()
+
+
+@settings(deadline=None)
+@given(_games)
+def test_decompose_is_the_reports_decomposition_section(entries) -> None:
+    text = "{},{};{},{}".format(*entries)
+    report = json.loads(_stdout("classify", "--json", "--", text))
+    doc = json.loads(_stdout("decompose", "--", text))
+    _validators["report.v1"].validate(report)
+    _validators["decompose.v1"].validate(doc)
+    assert doc["matrix"] == report["matrix"]
+    assert doc["degenerate"] == ("trivial" if report["degenerate"] == "trivial" else None)
+    assert doc["boundary"] is (report["degenerate"] == "boundary")
+    rest = {k: v for k, v in doc.items() if k not in ("schema", "degenerate", "boundary", "matrix")}
+    if report["decomposition"] is None:
+        assert report["degenerate"] == "trivial"
+        assert all(v is None for v in rest.values())
+    else:
+        assert rest == report["decomposition"]
 
 
 def test_decompose_trivial_degenerate(capsys) -> None:

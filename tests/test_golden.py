@@ -1,7 +1,9 @@
 """Golden outputs: CLI documents, Monte Carlo counts and SVG bytes, pinned.
 
 The digests were recorded before the region table replaced the per-function
-region computations; any byte that changes in these outputs fails here.
+region computations; any byte that changes in these outputs fails here.  The
+CSV digest and the counts of streams longer than one sampler block were
+recorded before the CSV writer and the block-wise sampler were rewritten.
 """
 
 from __future__ import annotations
@@ -60,6 +62,11 @@ def test_mc_region_counts_are_pinned() -> None:
         4243, 4158, 4185, 4191, 4194, 4191, 4126, 4095, 4201, 4232, 4155, 4165,
         4115, 4167, 4163, 4201, 4180, 4147, 4156, 4200, 4041, 4206, 4151, 4138,
     )
+    # Two streams of 100,001 samples, each longer than one sampler block.
+    assert mc_region_fractions(200_001, 3, 2).region_counts == (
+        8314, 8479, 8260, 8386, 8232, 8254, 8542, 8430, 8361, 8376, 8219, 8246,
+        8382, 8372, 8440, 8312, 8296, 8222, 8412, 8329, 8302, 8299, 8235, 8301,
+    )
 
 
 def test_cli_documents_are_pinned(capsys) -> None:
@@ -83,6 +90,11 @@ def test_fractions_document_is_pinned(capsys) -> None:
         "--seed", "0", "--workers", "2",
     )
     assert _sha(out) == "59ea583a3be423a1e58e5b907bcda4e513da75079e533032ea0290a1658f5bce"
+
+
+def test_fractions_csv_is_pinned(capsys) -> None:
+    out = _cli_stdout(capsys, "fractions", "--samples", "100000", "--seed", "0", "--workers", "2")
+    assert _sha(out) == "d7b7f6801087c406dfdd2a283e386d6181b84a320d0e8767b192b04ecc70712f"
 
 
 def test_map_svg_is_pinned() -> None:
