@@ -19,8 +19,9 @@ cube into a cross yields planar map coordinates for plotting.
 Every region fact lives in one table built at import: a row per region,
 keyed by the 6-bit sign code of (a-c, b-d, a-b, c-d, a-d, b-c), holding the
 vertex triple, the (ga, gb, gab) axes ordered by magnitude with their signs,
-and the cell of the cross.  ``region_of`` computes the code from six exact
-comparisons, the Monte Carlo sampler from the sampled (ga, gb, gab) columns.
+and the triangle's corners on the unfolded cross.  ``region_of`` computes
+the code from six exact comparisons, the Monte Carlo sampler from the
+sampled (ga, gb, gab) columns.
 """
 
 from __future__ import annotations
@@ -183,7 +184,7 @@ class _RegionRow(NamedTuple):
     vertices: tuple  # (axis, corner_minus, corner_plus) CanonicalMatrix
     axes: tuple  # (i_max, i_mid, i_min): (ga, gb, gab) indices by |value|
     signs: tuple  # (s_max, s_mid); the sign of the smallest varies inside
-    cell: int  # index into _CELLS
+    triangle: tuple  # map (u, v) of the vertices, drawn in the region's cell
 
 
 def _region_row(region: ElementaryRegion) -> _RegionRow:
@@ -198,7 +199,9 @@ def _region_row(region: ElementaryRegion) -> _RegionRow:
         return CANONICAL_MATRICES[tuple(direction)]
 
     vertices = (vertex(0, 0), vertex(s_mid, -1), vertex(s_mid, 1))
-    return _RegionRow(vertices, axes, (s_max, s_mid), _cell(*point))
+    to_plane = _CELLS[_cell(*point)][1]
+    triangle = tuple(to_plane(*(Fraction(x) for x in v.direction)) for v in vertices)
+    return _RegionRow(vertices, axes, (s_max, s_mid), triangle)
 
 
 _ROWS = tuple(_region_row(region) for region in REGIONS)  # indexed by region id
@@ -330,11 +333,7 @@ def region_triangle(region: ElementaryRegion) -> tuple:
     Each region is drawn inside its own unfolded cell, so cells that share a
     cut edge each keep their copy of it.
     """
-    row = _ROWS[region.id]
-    to_plane = _CELLS[row.cell][1]
-    return tuple(
-        to_plane(*(Fraction(x) for x in vertex.direction)) for vertex in row.vertices
-    )
+    return _ROWS[region.id].triangle
 
 
 # ---------------------------------------------------------------------------

@@ -47,8 +47,9 @@ from .payoff import (
 from .svgmap import render_map
 from .taxonomy import CLASS_TABLE, census, classify, region_class_index
 
-# Upper bounds on the sample counts a command line may ask for.
+# Upper bounds on the sample counts and streams a command line may ask for.
 _MAX_SAMPLES = 10 ** 9
+_MAX_WORKERS = 10_000
 _MAX_TRAJECTORY_SAMPLES = 100_000
 
 
@@ -182,9 +183,14 @@ def _format_positions(entries) -> str:
     return " ".join(f"({i},{j})" for i, j in entries)
 
 
-def _print_report_text(P: PayoffMatrix, report: dict, out) -> None:
+def _format_matrix(matrix_doc: dict) -> str:
+    (a, b), (c, d) = matrix_doc["rational"]
+    return f"[[{a},{b}],[{c},{d}]]"
+
+
+def _print_report_text(report: dict, out) -> None:
     g = report["g_vector"]["rational"]
-    print(f"matrix: {P}", file=out)
+    print(f"matrix: {_format_matrix(report['matrix'])}", file=out)
     print("g-vector: " + " ".join(f"{k}={g[k]}" for k in ("g0", "ga", "gb", "gab")), file=out)
     if report["degenerate"] == "trivial":
         print("degenerate: trivial (constant matrix; no region, map point, or decomposition)", file=out)
@@ -217,10 +223,7 @@ def _print_report_text(P: PayoffMatrix, report: dict, out) -> None:
         print(f"map point: u={mp['u']} v={mp['v']} (face {mp['face']})", file=out)
     dec = report["decomposition"]
     if dec is not None:
-        vertices = ", ".join(
-            "[[{0},{1}],[{2},{3}]]".format(*(v["matrix"]["rational"][0] + v["matrix"]["rational"][1]))
-            for v in dec["vertices"]
-        )
+        vertices = ", ".join(_format_matrix(v["matrix"]) for v in dec["vertices"])
         print(
             f"decomposition: offset {dec['offset']}, scale {dec['scale']}, "
             f"weights {', '.join(dec['weights'])} over {vertices}",
@@ -268,12 +271,11 @@ def _write_output(path: Optional[str], text: str) -> None:
 
 
 def _cmd_classify(args) -> int:
-    P = _matrix_arg(args.matrix)
-    report = build_report(P)
+    report = build_report(_matrix_arg(args.matrix))
     if args.json:
         print(json.dumps(report, indent=2))
     else:
-        _print_report_text(P, report, sys.stdout)
+        _print_report_text(report, sys.stdout)
     return 0
 
 
@@ -341,6 +343,8 @@ def _fractions_doc(report) -> dict:
 def _cmd_fractions(args) -> int:
     if args.samples > _MAX_SAMPLES:
         raise ValueError(f"--samples must be at most {_MAX_SAMPLES:,}")
+    if args.workers > _MAX_WORKERS:
+        raise ValueError(f"--workers must be at most {_MAX_WORKERS:,}")
     report = mc_region_fractions(args.samples, args.seed, args.workers)
     doc = _fractions_doc(report)
     if args.format == "json":
@@ -400,8 +404,15 @@ def _cmd_decompose(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as one ``error:`` line; subparsers share the class."""
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="symgame",
         description="Classify, decompose, and map symmetric 2x2 games.",
     )

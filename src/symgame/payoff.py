@@ -25,8 +25,7 @@ from typing import Iterable, Sequence, Union
 
 Rational = Union[int, str, float, Fraction]
 
-#: Strategy indices; a position is a (row, column) pair of strategies.
-STRATEGIES = (0, 1)
+#: The (row, column) strategy pairs of a 2x2 game.
 POSITIONS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 Position = tuple

@@ -43,32 +43,28 @@ def _xy(u, v) -> str:
     return f"{_fmt(u)},{_fmt(-v)}"
 
 
-def _triangle_elements() -> list:
+def _region_elements() -> list:
+    """The 24 region polygons, then the vertex labels sorted by position."""
+    # The same canonical matrix can sit at one planar point for several
+    # regions (cells keep their own copies of cut edges), so labels are
+    # deduped by position.
     parts = []
+    labels = {}
     for region in REGIONS:
-        color = CLASS_COLORS[region_class_index(region.id)]
-        points = " ".join(_xy(u, v) for u, v in region_triangle(region))
-        name = CLASS_TABLE[region_class_index(region.id)].display_name
+        k = region_class_index(region.id)
+        triangle = region_triangle(region)
+        points = " ".join(_xy(u, v) for u, v in triangle)
+        name = CLASS_TABLE[k].display_name
         parts.append(
-            f'  <polygon points="{points}" fill="{color}" '
+            f'  <polygon points="{points}" fill="{CLASS_COLORS[k]}" '
             f'stroke="black" stroke-width="0.02">'
             f"<title>region {region.id}: {region.ordering_text} ({name})</title>"
             f"</polygon>"
         )
-    return parts
-
-
-def _vertex_labels() -> list:
-    # The same canonical matrix can sit at one planar point for several
-    # regions (cells keep their own copies of cut edges), so dedupe by
-    # position before emitting text.
-    seen = {}
-    for region in REGIONS:
-        for vertex, (u, v) in zip(region_vertices(region), region_triangle(region)):
-            seen.setdefault((u, v), vertex.matrix)
-    parts = []
-    for (u, v) in sorted(seen):
-        rows = seen[(u, v)].rows()
+        for vertex, position in zip(region_vertices(region), triangle):
+            labels.setdefault(position, vertex.matrix)
+    for (u, v), matrix in sorted(labels.items()):
+        rows = matrix.rows()
         top = " ".join(str(x) for x in rows[0])
         bottom = " ".join(str(x) for x in rows[1])
         x, y = _fmt(u), _fmt(-v)
@@ -104,28 +100,17 @@ def _split_runs(points: Sequence[Optional[MapPoint]]) -> list:
 
     A run ends at a missing point (trivial sample) or at a jump longer than 1
     map unit, which is how a path looks when it leaves one cut edge of the
-    cross and re-enters on another.
+    cross and re-enters on another.  Runs of a single point are not drawn.
     """
     runs = []
-    current = []
     previous = None
     for pt in points:
-        if pt is None:
-            if len(current) > 1:
-                runs.append(current)
-            current, previous = [], None
-            continue
-        if previous is not None:
-            gap = (pt.u - previous.u) ** 2 + (pt.v - previous.v) ** 2
-            if gap > 1:
-                if len(current) > 1:
-                    runs.append(current)
-                current = []
-        current.append(pt)
+        if pt is not None:
+            if previous is None or (pt.u - previous.u) ** 2 + (pt.v - previous.v) ** 2 > 1:
+                runs.append([])
+            runs[-1].append(pt)
         previous = pt
-    if len(current) > 1:
-        runs.append(current)
-    return runs
+    return [run for run in runs if len(run) >= 2]
 
 
 def _trajectory_elements(trajectories) -> list:
@@ -187,8 +172,7 @@ def render_map(
         f'width="960" height="960">',
         f'  <rect x="-4.8" y="-4.8" width="9.6" height="9.6" fill="white"/>',
     ]
-    parts.extend(_triangle_elements())
-    parts.extend(_vertex_labels())
+    parts.extend(_region_elements())
     if legend:
         parts.extend(_legend())
     parts.extend(_trajectory_elements(trajectories))

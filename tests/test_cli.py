@@ -10,6 +10,7 @@ import os
 import shutil
 import subprocess
 import sys
+from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
@@ -143,12 +144,13 @@ def test_classify_parse_errors_exit_2(capsys) -> None:
         ("classify", "--", '{"payoff": ' + "[" * 100_000),
         ("fractions", "--samples", "1000000001"),
         ("fractions", "--samples", "1000000000000000"),
+        ("fractions", "--samples", "1000000000", "--workers", "1000000000"),
         ("map", "--trajectory=1,2;3,4;5,6;7,8;100001"),
     ],
     ids=[
         "json-bool", "exponent-high", "exponent-low", "json-exponent", "long-literal",
         "json-long-int", "magnitude", "json-infinity", "json-flat-array", "json-deep-nesting",
-        "fractions-samples", "fractions-samples-huge", "trajectory-samples",
+        "fractions-samples", "fractions-samples-huge", "fractions-workers", "trajectory-samples",
     ],
 )
 def test_classify_hostile_input_exits_2(capsys, argv) -> None:
@@ -170,6 +172,19 @@ def test_unknown_subcommand_exits_2(capsys) -> None:
         main(["frobnicate"])
     assert excinfo.value.code == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("fractions", "--samples", "abc"), ("fractions", "--format", "xml"), ("classify",), ("frobnicate",)],
+    ids=["bad-int", "bad-choice", "missing-matrix", "unknown-command"],
+)
+def test_usage_errors_print_one_error_line(capsys, argv) -> None:
+    with pytest.raises(SystemExit) as excinfo:
+        main(list(argv))
+    assert excinfo.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error:") and err.count("\n") == 1
 
 
 # ---------------------------------------------------------------------------
@@ -249,6 +264,37 @@ def test_decompose_is_the_reports_decomposition_section(entries) -> None:
         assert all(v is None for v in rest.values())
     else:
         assert rest == report["decomposition"]
+
+
+_small = st.builds(Fraction, st.integers(-20, 20), st.integers(1, 6))
+
+
+def _report(entries) -> dict:
+    return json.loads(_stdout("classify", "--json", "--", "{},{};{},{}".format(*entries)))
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    st.lists(_small, min_size=4, max_size=4, unique=True),
+    st.builds(Fraction, st.integers(1, 20), st.integers(1, 6)),
+    _small,
+)
+def test_reports_are_invariant_under_scale_offset_and_transpose(entries, k, offset) -> None:
+    """k*P + offset keeps every scale-free field; the transpose swaps NE and PO."""
+    report = _report(entries)
+    moved = _report([k * x + offset for x in entries])
+    for key in ("region", "game_class", "nash_equilibria", "pareto_optima", "cube_point", "map_point"):
+        assert moved[key] == report[key], key
+    for key in ("mixed_nash", "mixed_pareto"):
+        assert (moved[key] or {}).get("p") == (report[key] or {}).get("p"), key
+    for key in ("region", "weights"):
+        assert moved["decomposition"][key] == report["decomposition"][key], key
+    a, b, c, d = entries
+    transposed = _report([a, c, b, d])
+    assert transposed["nash_equilibria"] == report["pareto_optima"]
+    assert transposed["pareto_optima"] == report["nash_equilibria"]
+    assert transposed["mixed_nash"] == report["mixed_pareto"]
+    assert transposed["mixed_pareto"] == report["mixed_nash"]
 
 
 def test_decompose_trivial_degenerate(capsys) -> None:

@@ -5,6 +5,8 @@ from __future__ import annotations
 import xml.etree.ElementTree as ET
 from fractions import Fraction
 
+from hypothesis import given, strategies as st
+
 from symgame.cartography import MapPoint, map_point, trajectory
 from symgame.payoff import PayoffMatrix
 from symgame.svgmap import CLASS_COLORS, _fmt, _split_runs, render_map
@@ -56,6 +58,41 @@ def test_split_runs_breaks_on_gaps_and_missing_points() -> None:
     assert _split_runs([a, b, None, c, d]) == [[a, b], [c, d]]
     assert _split_runs([a, None, b]) == []  # single points are not drawable
     assert _split_runs([]) == []
+    assert _split_runs([a, c, d]) == [[c, d]]  # jump at the first step
+    assert _split_runs([a, b, None]) == [[a, b]]  # trailing gap
+    assert _split_runs([None, a, b]) == [[a, b]]  # leading gap
+    assert _split_runs([a, b, None, c, None, a, b]) == [[a, b], [a, b]]
+    assert _split_runs([a, b, c, a, b]) == [[a, b], [a, b]]  # lone point between jumps
+    e = MapPoint(1, 0, "gab+")
+    assert _split_runs([a, e]) == [[a, e]]  # a step of exactly 1 unit stays drawn
+
+
+# Paths on a half-unit grid, where steps of 1 map unit or less are common;
+# the face tag carries the position, so equal coordinates stay distinct points.
+_grid = st.integers(-4, 4).map(lambda k: Fraction(k, 2))
+_paths = st.lists(st.none() | st.tuples(_grid, _grid), max_size=30).map(
+    lambda cells: [
+        None if cell is None else MapPoint(cell[0], cell[1], str(i)) for i, cell in enumerate(cells)
+    ]
+)
+
+
+def _close(p: MapPoint, q: MapPoint) -> bool:
+    return (p.u - q.u) ** 2 + (p.v - q.v) ** 2 <= 1
+
+
+@given(_paths)
+def test_split_runs_are_short_step_slices(points) -> None:
+    drawn_pairs = set()
+    for run in _split_runs(points):
+        assert len(run) >= 2
+        start = points.index(run[0])
+        assert points[start : start + len(run)] == run
+        assert all(_close(p, q) for p, q in zip(run, run[1:]))
+        drawn_pairs.update(range(start, start + len(run) - 1))
+    for i, (p, q) in enumerate(zip(points, points[1:])):
+        if p is not None and q is not None and _close(p, q):
+            assert i in drawn_pairs
 
 
 def test_trajectory_rendering_marks_ends() -> None:
