@@ -38,6 +38,7 @@ from .ordergraph import build_order_graph, to_dot
 from .payoff import (
     PayoffMatrix,
     TrivialGame,
+    _quote,
     g_transform,
     matrices_from_lines,
     matrix_from_json,
@@ -57,6 +58,24 @@ def _rat(value) -> str:
     return str(Fraction(value))
 
 
+def _exact(**values) -> dict:
+    """Each value as a "p/q" string under its name, then as a float under ``<name>_decimal``."""
+    doc = {}
+    for name, value in values.items():
+        doc[name] = _rat(value)
+        doc[f"{name}_decimal"] = float(value)
+    return doc
+
+
+def _coordinates_doc(point) -> dict:
+    """A coordinate dataclass's fields, in order, as "p/q" strings and as floats."""
+    coords = vars(point)
+    return {
+        "rational": {k: _rat(v) for k, v in coords.items()},
+        "decimal": {k: float(v) for k, v in coords.items()},
+    }
+
+
 def _matrix_doc(P: PayoffMatrix) -> dict:
     return {
         "rational": [[_rat(x) for x in row] for row in P.rows()],
@@ -67,13 +86,7 @@ def _matrix_doc(P: PayoffMatrix) -> dict:
 def _mixed_doc(P: PayoffMatrix, p) -> Optional[dict]:
     if p is None:
         return None
-    value = expected_payoff(P, p, p)[0]
-    return {
-        "p": _rat(p),
-        "p_decimal": float(p),
-        "value": _rat(value),
-        "value_decimal": float(value),
-    }
+    return _exact(p=p, value=expected_payoff(P, p, p)[0])
 
 
 def _positions_doc(positions) -> list:
@@ -84,10 +97,7 @@ def _decomposition_doc(P: PayoffMatrix) -> dict:
     dec = decompose(P)
     return {
         "region": {"id": dec.region.id, "ordering": dec.region.ordering_text},
-        "offset": _rat(dec.trivial_offset),
-        "offset_decimal": float(dec.trivial_offset),
-        "scale": _rat(dec.scale),
-        "scale_decimal": float(dec.scale),
+        **_exact(offset=dec.trivial_offset, scale=dec.scale),
         "weights": [_rat(w) for w in dec.weights],
         "weights_decimal": [float(w) for w in dec.weights],
         "vertices": [
@@ -110,15 +120,11 @@ _DECOMPOSITION_KEYS = (
 
 def build_report(P: PayoffMatrix) -> dict:
     """The report.v1 document for a game; total over degenerate inputs."""
-    G = g_transform(P)
     report = {
         "schema": "report.v1",
         "degenerate": None,
         "matrix": _matrix_doc(P),
-        "g_vector": {
-            "rational": {k: _rat(getattr(G, k)) for k in ("g0", "ga", "gb", "gab")},
-            "decimal": {k: float(getattr(G, k)) for k in ("g0", "ga", "gb", "gab")},
-        },
+        "g_vector": _coordinates_doc(g_transform(P)),
         "boundary": None,
         "region": None,
         "game_class": None,
@@ -134,11 +140,7 @@ def build_report(P: PayoffMatrix) -> dict:
     if P.is_constant():
         report["degenerate"] = "trivial"
         return report
-    cp = normalize_cube(P)
-    report["cube_point"] = {
-        "rational": {k: _rat(getattr(cp, k)) for k in ("ga", "gb", "gab")},
-        "decimal": {k: float(getattr(cp, k)) for k in ("ga", "gb", "gab")},
-    }
+    report["cube_point"] = _coordinates_doc(normalize_cube(P))
     mp = map_point(P)
     report["map_point"] = {
         "u": _rat(mp.u),
@@ -165,17 +167,11 @@ def build_report(P: PayoffMatrix) -> dict:
         "category": row.category.value,
         "po_status": row.po_status.value,
         "payoff_comparison": row.payoff_comparison.value,
-        "fraction": _rat(row.fraction),
-        "fraction_decimal": float(row.fraction),
+        **_exact(fraction=row.fraction),
     }
     if cls.comparison_values is not None:
         ne_value, po_value = cls.comparison_values
-        report["comparison"] = {
-            "ne_value": _rat(ne_value),
-            "ne_value_decimal": float(ne_value),
-            "po_value": _rat(po_value),
-            "po_value_decimal": float(po_value),
-        }
+        report["comparison"] = _exact(ne_value=ne_value, po_value=po_value)
     return report
 
 
@@ -191,7 +187,7 @@ def _format_matrix(matrix_doc: dict) -> str:
 def _print_report_text(report: dict, out) -> None:
     g = report["g_vector"]["rational"]
     print(f"matrix: {_format_matrix(report['matrix'])}", file=out)
-    print("g-vector: " + " ".join(f"{k}={g[k]}" for k in ("g0", "ga", "gb", "gab")), file=out)
+    print("g-vector: " + " ".join(f"{k}={v}" for k, v in g.items()), file=out)
     if report["degenerate"] == "trivial":
         print("degenerate: trivial (constant matrix; no region, map point, or decomposition)", file=out)
     elif report["degenerate"] == "boundary":
@@ -249,14 +245,14 @@ def _parse_trajectory_spec(text: str):
     if len(parts) != 5:
         raise ValueError(
             "trajectory spec must be 'a,b;c,d;e,f;g,h;n' "
-            f"(start matrix, end matrix, sample count), got {text!r}"
+            f"(start matrix, end matrix, sample count), got {_quote(text)}"
         )
     start = parse_matrix(";".join(parts[0:2]))
     end = parse_matrix(";".join(parts[2:4]))
     try:
         n = int(parts[4])
     except ValueError as exc:
-        raise ValueError(f"bad sample count {parts[4]!r} in trajectory spec") from exc
+        raise ValueError(f"bad sample count {_quote(parts[4])} in trajectory spec") from exc
     if n > _MAX_TRAJECTORY_SAMPLES:
         raise ValueError(f"trajectory sample count must be at most {_MAX_TRAJECTORY_SAMPLES:,}")
     return start, end, n
@@ -300,8 +296,7 @@ def _cmd_map(args) -> int:
 
 def _estimate_doc(exact: Fraction, estimate: float, std_error: float) -> dict:
     return {
-        "exact": _rat(exact),
-        "exact_decimal": float(exact),
+        **_exact(exact=exact),
         "estimate": estimate,
         "abs_error": abs(estimate - float(exact)),
         "std_error": std_error,
@@ -345,6 +340,8 @@ def _cmd_fractions(args) -> int:
         raise ValueError(f"--samples must be at most {_MAX_SAMPLES:,}")
     if args.workers > _MAX_WORKERS:
         raise ValueError(f"--workers must be at most {_MAX_WORKERS:,}")
+    if args.seed < 0:
+        raise ValueError("--seed must be >= 0")
     report = mc_region_fractions(args.samples, args.seed, args.workers)
     doc = _fractions_doc(report)
     if args.format == "json":

@@ -116,11 +116,9 @@ def to_dot(g: OrderGraph, simplified: bool = False) -> str:
             f'  {node.name} [label="{label}", pos="{float(node.x):g},{float(node.y):g}!"{shape}];'
         )
     if not simplified:
-        for arr in g.nash_arrows:
-            extra = ", dir=both" if arr.double else ""
-            lines.append(f"  {names[arr.tail]} -> {names[arr.head]} [style=solid{extra}];")
-        for arr in g.pareto_arrows:
-            extra = ", dir=both" if arr.double else ""
-            lines.append(f"  {names[arr.tail]} -> {names[arr.head]} [style=dashed{extra}];")
+        for style, arrows in (("solid", g.nash_arrows), ("dashed", g.pareto_arrows)):
+            for arr in arrows:
+                extra = ", dir=both" if arr.double else ""
+                lines.append(f"  {names[arr.tail]} -> {names[arr.head]} [style={style}{extra}];")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -42,6 +42,12 @@ _EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)")
 _MAX_MAGNITUDE = 10 ** 300
 
 
+def _quote(value: object) -> str:
+    """The repr of an offending input value, cut after 64 characters with "..."."""
+    text = repr(value)
+    return text if len(text) <= 64 else text[:64] + "..."
+
+
 def _as_fraction(value: Rational, what: str = "payoff") -> Fraction:
     """Coerce an input value to Fraction, converting decimal strings exactly.
 
@@ -51,17 +57,17 @@ def _as_fraction(value: Rational, what: str = "payoff") -> Fraction:
     if isinstance(value, Fraction):
         return value
     if isinstance(value, bool):
-        raise ValueError(f"bad {what} value {value!r}")
+        raise ValueError(f"bad {what} value {_quote(value)}")
     if isinstance(value, str):
         exponent = _EXPONENT.search(value)
         if len(value) > 64 or exponent and abs(int(exponent.group(1))) > 300:
-            raise ValueError(f"bad {what} value {value[:64]!r}: {_TEXT_BOUNDS}")
+            raise ValueError(f"bad {what} value {_quote(value)}: {_TEXT_BOUNDS}")
     try:
         result = Fraction(value)
     except (ValueError, ZeroDivisionError, TypeError, OverflowError) as exc:
-        raise ValueError(f"bad {what} value {value!r}") from exc
+        raise ValueError(f"bad {what} value {_quote(value)}") from exc
     if isinstance(value, str) and abs(result) > _MAX_MAGNITUDE:
-        raise ValueError(f"bad {what} value {value!r}: {_TEXT_BOUNDS}")
+        raise ValueError(f"bad {what} value {_quote(value)}: {_TEXT_BOUNDS}")
     return result
 
 
@@ -194,30 +200,23 @@ class CubePoint:
         return (self.ga, self.gb, self.gab)
 
 
+def _signed_half_sums(w, x, y, z) -> tuple[Fraction, Fraction, Fraction, Fraction]:
+    """Half the sums of (w, x, y, z) with signs ++++, ++--, +-+- and +--+."""
+    return ((w + x + y + z) / 2, (w + x - y - z) / 2, (w - x + y - z) / 2, (w - x - y + z) / 2)
+
+
 def g_transform(P: PayoffMatrix) -> GVector:
     """Map payoffs (a, b, c, d) to effect coordinates (g0, ga, gb, gab).
 
     Each output is half a signed sum of the four entries; the matrix of the
     map, scaled by 1/2, is orthogonal and its own inverse.
     """
-    a, b, c, d = P.entries()
-    return GVector(
-        (a + b + c + d) / 2,
-        (a + b - c - d) / 2,
-        (a - b + c - d) / 2,
-        (a - b - c + d) / 2,
-    )
+    return GVector(*_signed_half_sums(*P.entries()))
 
 
 def inverse_g_transform(G: GVector) -> PayoffMatrix:
     """Reconstruct the payoff matrix from effect coordinates (exact inverse)."""
-    g0, ga, gb, gab = G.g0, G.ga, G.gb, G.gab
-    return PayoffMatrix(
-        (g0 + ga + gb + gab) / 2,
-        (g0 + ga - gb - gab) / 2,
-        (g0 - ga + gb - gab) / 2,
-        (g0 - ga - gb + gab) / 2,
-    )
+    return PayoffMatrix(*_signed_half_sums(G.g0, G.ga, G.gb, G.gab))
 
 
 def center(P: PayoffMatrix) -> PayoffMatrix:
@@ -268,12 +267,12 @@ def parse_matrix(text: str) -> PayoffMatrix:
     """
     rows = [r for r in text.strip().split(";")]
     if len(rows) != 2:
-        raise ValueError(f"expected 2 rows separated by ';', got {len(rows)} in {text!r}")
+        raise ValueError(f"expected 2 rows separated by ';', got {len(rows)} in {_quote(text)}")
     values = []
     for row in rows:
         cells = row.split(",")
         if len(cells) != 2:
-            raise ValueError(f"expected 2 entries per row, got {len(cells)} in {row.strip()!r}")
+            raise ValueError(f"expected 2 entries per row, got {len(cells)} in {_quote(row.strip())}")
         for cell in cells:
             values.append(_as_fraction(cell.strip()))
     return PayoffMatrix(*values)

@@ -22,6 +22,7 @@ import symgame
 
 from symgame.cli import build_report, main
 from symgame.payoff import PayoffMatrix
+from symgame.taxonomy import census
 
 
 def _schema(name: str) -> dict:
@@ -52,6 +53,54 @@ def test_classify_text_report(capsys) -> None:
     assert "comparison: NE payoff 2 vs PO payoff 3" in out
     assert "map point: u=-1/2 v=2 (face gb+)" in out
     assert "reconstruction exact: True" in out
+
+
+# ``classify`` text stdout for a trivial, a boundary and a mixed-equilibrium game.
+_TEXT_REPORTS = {
+    "1,1;1,1": """\
+matrix: [[1,1],[1,1]]
+g-vector: g0=2 ga=0 gb=0 gab=0
+degenerate: trivial (constant matrix; no region, map point, or decomposition)
+nash equilibria: (0,0) (0,1) (1,0) (1,1)
+relaxed pareto optima: (0,0) (0,1) (1,0) (1,1)
+mixed nash: none
+mixed pareto: none
+""",
+    "1,1;2,3": """\
+matrix: [[1,1],[2,3]]
+g-vector: g0=7/2 ga=-3/2 gb=-1/2 gab=1/2
+degenerate: boundary (tied entries a=b)
+adjacent regions: 22 23
+nash equilibria: (1,1)
+relaxed pareto optima: (0,0) (1,1)
+mixed nash: none
+mixed pareto: none
+map point: u=-5/3 v=-1/3 (face ga-)
+decomposition: offset 1, scale 1/2, weights 1/3, 0, 2/3 over [[0,0],[0,6]], [[2,0],[2,2]], [[0,0],[3,3]]
+reconstruction exact: True
+""",
+    "4,2;5,1": """\
+matrix: [[4,2],[5,1]]
+g-vector: g0=6 ga=0 gb=3 gab=-1
+region: 12 (c>a>b>d)
+class: Chicken [two-non-diagonal-ne / one-po / ne-less], fraction 1/24
+nash equilibria: (0,1) (1,0)
+relaxed pareto optima: (0,0)
+mixed nash: p=1/2 value=3
+mixed pareto: none
+comparison: NE payoff 3 vs PO payoff 4
+map point: u=0 v=7/3 (face gb+)
+decomposition: offset 1, scale 4/3, weights 1/8, 3/8, 1/2 over [[0,0],[6,0]], [[2,2],[2,0]], [[3,0],[3,0]]
+reconstruction exact: True
+""",
+}
+
+
+@pytest.mark.parametrize("matrix", list(_TEXT_REPORTS), ids=["trivial", "boundary", "mixed"])
+def test_classify_text_report_is_pinned(capsys, matrix) -> None:
+    code, out, err = run_cli(capsys, "classify", matrix)
+    assert code == 0 and err == ""
+    assert out == _TEXT_REPORTS[matrix]
 
 
 def test_classify_json_matches_schema(capsys) -> None:
@@ -145,12 +194,15 @@ def test_classify_parse_errors_exit_2(capsys) -> None:
         ("fractions", "--samples", "1000000001"),
         ("fractions", "--samples", "1000000000000000"),
         ("fractions", "--samples", "1000000000", "--workers", "1000000000"),
+        ("fractions", "--samples", "10", "--seed", "-1"),
         ("map", "--trajectory=1,2;3,4;5,6;7,8;100001"),
+        ("map", "--trajectory=1,2;3,4;5,6;7,8;1e3"),
     ],
     ids=[
         "json-bool", "exponent-high", "exponent-low", "json-exponent", "long-literal",
         "json-long-int", "magnitude", "json-infinity", "json-flat-array", "json-deep-nesting",
-        "fractions-samples", "fractions-samples-huge", "fractions-workers", "trajectory-samples",
+        "fractions-samples", "fractions-samples-huge", "fractions-workers", "fractions-seed",
+        "trajectory-samples", "trajectory-count",
     ],
 )
 def test_classify_hostile_input_exits_2(capsys, argv) -> None:
@@ -159,6 +211,27 @@ def test_classify_hostile_input_exits_2(capsys, argv) -> None:
     assert code == 2
     assert out == "" and err.startswith("error:") and err.count("\n") == 1
     assert "int_max_str_digits" not in err
+
+
+def test_seed_error_names_the_flag(capsys) -> None:
+    code, _, err = run_cli(capsys, "fractions", "--samples", "10", "--seed", "-1")
+    assert code == 2 and err == "error: --seed must be >= 0\n"
+
+
+@pytest.mark.parametrize("kind", ["points-line", "trajectory-spec", "json-array"])
+def test_error_lines_quote_a_bounded_prefix_of_the_input(capsys, tmp_path, kind) -> None:
+    if kind == "points-line":
+        points = tmp_path / "points.txt"
+        points.write_text("1,2;" * 100_000 + "\n", encoding="utf-8")  # 400 KB
+        argv = ("map", "--points", str(points))
+    elif kind == "trajectory-spec":
+        argv = ("map", "--trajectory=" + "1;" * 20_000)  # 40 KB
+    else:
+        argv = ("classify", "--", '{"payoff": [[[' + ", ".join(["1"] * 5000) + "], 0], [2, 3]]}")
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert len(err.encode()) < 200 and "..." in err
 
 
 def test_classify_accepts_literals_at_the_bounds(capsys) -> None:
@@ -318,6 +391,19 @@ def test_census_self_test_passes(capsys) -> None:
     assert sum(1 for l in lines if l.endswith(" ok")) == 9
     assert "MISMATCH" not in out
     assert lines[-1].split() == ["total", "24", "24"]
+
+
+def test_census_failure_exits_1(capsys, monkeypatch) -> None:
+    def short_census():
+        counts = census()
+        counts[next(iter(counts))] -= 1
+        return counts
+
+    monkeypatch.setattr("symgame.cli.census", short_census)
+    code, out, err = run_cli(capsys, "census")
+    assert code == 1
+    assert "MISMATCH" in out
+    assert err == "census self-test failed\n"
 
 
 def test_fractions_csv_layout_and_determinism(capsys) -> None:
