@@ -27,6 +27,9 @@ sampled (ga, gb, gab) columns.
 from __future__ import annotations
 
 import itertools
+import math
+import os
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional
@@ -205,10 +208,8 @@ def _region_row(region: ElementaryRegion) -> _RegionRow:
 
 
 _ROWS = tuple(_region_row(region) for region in REGIONS)  # indexed by region id
-# 6-bit sign code -> region id, -1 for the 40 codes no strict ordering has.
-_REGION_ID_BY_CODE = [-1] * 64
-for _region in REGIONS:
-    _REGION_ID_BY_CODE[_sign_code(*(s > 0 for s in _region.sign_vector))] = _region.id
+# 6-bit sign code -> region id; the other 40 codes belong to no strict ordering.
+_REGION_ID_BY_CODE = {_sign_code(*(s > 0 for s in r.sign_vector)): r.id for r in REGIONS}
 
 
 def region_of(P: PayoffMatrix) -> ElementaryRegion:
@@ -403,13 +404,35 @@ class MCRegionReport:
 
     def _se(self, count: int) -> float:
         p = count / self.n_samples
-        return float(np.sqrt(p * (1.0 - p) / self.n_samples))
+        return math.sqrt(p * (1.0 - p) / self.n_samples)
 
     def region_std_errors(self) -> tuple:
         return tuple(self._se(c) for c in self.region_counts)
 
     def class_std_errors(self) -> tuple:
         return tuple(self._se(c) for c in self.class_counts)
+
+
+def _usable_cpus() -> int:
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def _stream_code_counts(seed: int, worker: int, m: int, stop: threading.Event) -> np.ndarray:
+    """The 64 sign-code counts of stream (seed, worker)'s first m samples; partial once stopped."""
+    rng = np.random.default_rng([seed, worker])
+    counts = np.zeros(64, dtype=np.int64)
+    # Successive blocks continue the stream, so the block size changes
+    # memory use but not the samples.
+    for start in range(0, m, _MC_BLOCK):
+        if stop.is_set():
+            break
+        # Signs are scale-invariant, so the explicit normalization cancels.
+        # a-c = ga+gab, b-d = ga-gab, a-b = gb+gab, c-d = gb-gab, a-d = ga+gb
+        # and b-c = ga-gb, each compared with 0 exactly as x > -y or x > y.
+        ga, gb, gab = rng.standard_normal((min(_MC_BLOCK, m - start), 3)).T
+        tests = (ga > -gab, ga > gab, gb > -gab, gb > gab, ga > -gb, ga > gb)
+        counts += np.bincount(_sign_code(*(t.view(np.uint8) for t in tests)), minlength=64)
+    return counts
 
 
 def mc_region_fractions(n_samples: int, seed: int, n_workers: int = 1) -> MCRegionReport:
@@ -419,7 +442,7 @@ def mc_region_fractions(n_samples: int, seed: int, n_workers: int = 1) -> MCRegi
     to its region by the exact sign pattern of the six entry differences,
     then rolled up to taxonomy classes.  Samples are partitioned across
     ``n_workers`` streams derived from (seed, worker index), so results are
-    reproducible for a fixed seed and worker count.
+    reproducible for a fixed seed and worker count, on any number of threads.
     """
     from .taxonomy import region_class_index
 
@@ -427,28 +450,34 @@ def mc_region_fractions(n_samples: int, seed: int, n_workers: int = 1) -> MCRegi
         raise ValueError("need at least one sample")
     if n_workers < 1:
         raise ValueError("need at least one worker")
-    region_counts = np.zeros(24, dtype=np.int64)
     base, rem = divmod(n_samples, n_workers)
-    # Workers past the n_samples-th would draw nothing.
-    for worker in range(min(n_workers, n_samples)):
-        m = base + (1 if worker < rem else 0)
-        rng = np.random.default_rng([seed, worker])
-        # Successive blocks continue the stream, so the block size changes
-        # memory use but not the samples.
-        for start in range(0, m, _MC_BLOCK):
-            # Signs are scale-invariant, so the explicit normalization cancels.
-            # a-c = ga+gab, b-d = ga-gab, a-b = gb+gab, c-d = gb-gab, a-d = ga+gb
-            # and b-c = ga-gb, each compared with 0 exactly as x > -y or x > y.
-            ga, gb, gab = rng.standard_normal((min(_MC_BLOCK, m - start), 3)).T
-            codes = _sign_code(ga > -gab, ga > gab, gb > -gab, gb > gab, ga > -gb, ga > gb)
-            region_counts += np.bincount(np.take(_REGION_ID_BY_CODE, codes), minlength=24)
-    class_counts = [0] * 9
-    for region_id, count in enumerate(region_counts):
-        class_counts[region_class_index(region_id)] += int(count)
+    streams = min(n_workers, n_samples)  # workers past the n_samples-th would draw nothing
+    threads = min(streams, _usable_cpus())
+    stop = threading.Event()
+
+    def count_streams(first: int) -> np.ndarray:  # streams first, first + threads, ...
+        sizes = ((w, base + (w < rem)) for w in range(first, streams, threads))
+        return sum(_stream_code_counts(seed, w, m, stop) for w, m in sizes)
+
+    if threads == 1:
+        code_counts = count_streams(0)
+    else:
+        from concurrent.futures import ThreadPoolExecutor  # deferred: it loads logging
+        with ThreadPoolExecutor(threads - 1) as pool:  # this thread counts streams 0, threads, ...
+            try:
+                others = pool.map(count_streams, range(1, threads))
+                code_counts = count_streams(0) + sum(others)
+            finally:
+                stop.set()  # after an interrupt, the other threads end at their next block
+    region_counts, class_counts = [0] * 24, [0] * 9
+    for code in np.flatnonzero(code_counts):
+        region_id = _REGION_ID_BY_CODE[code]  # KeyError: a code no strict ordering has
+        region_counts[region_id] = count = int(code_counts[code])
+        class_counts[region_class_index(region_id)] += count
     return MCRegionReport(
         n_samples=n_samples,
         seed=seed,
         n_workers=n_workers,
-        region_counts=tuple(int(c) for c in region_counts),
+        region_counts=tuple(region_counts),
         class_counts=tuple(class_counts),
     )

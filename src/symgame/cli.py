@@ -6,14 +6,17 @@ a "p/q" string with a decimal duplicate; JSON documents carry a "schema" tag
 matching the schema files shipped under ``symgame/schemas``.
 
 Exit codes: 0 for success (degenerate inputs are reported, not errors),
-1 for a failed self-test, 2 for parse or usage errors.
+1 for a failed self-test, 2 for parse or usage errors, 130 for an interrupt
+and 141 when the reader of stdout has gone.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
+import os
 import sys
 from fractions import Fraction
 from typing import Optional
@@ -51,7 +54,8 @@ from .taxonomy import CLASS_TABLE, census, classify, region_class_index
 # Upper bounds on the sample counts and streams a command line may ask for.
 _MAX_SAMPLES = 10 ** 9
 _MAX_WORKERS = 10_000
-_MAX_TRAJECTORY_SAMPLES = 100_000
+_MAX_TRAJECTORY_SAMPLES = 100_000  # per spec and summed over all specs of a map
+_MAX_MARKERS = 100_000  # lines of a --points file
 
 
 def _rat(value) -> str:
@@ -111,11 +115,8 @@ def _decomposition_doc(P: PayoffMatrix) -> dict:
     }
 
 
-# The keys of ``_decomposition_doc``, all None in decompose.v1 for a constant matrix.
-_DECOMPOSITION_KEYS = (
-    "region", "offset", "offset_decimal", "scale", "scale_decimal",
-    "weights", "weights_decimal", "vertices", "reconstruction_exact",
-)
+# decompose.v1's decomposition section for a constant matrix: every key, all None.
+_NO_DECOMPOSITION = dict.fromkeys(_decomposition_doc(REGIONS[0].representative()))
 
 
 def build_report(P: PayoffMatrix) -> dict:
@@ -253,8 +254,8 @@ def _parse_trajectory_spec(text: str):
         n = int(parts[4])
     except ValueError as exc:
         raise ValueError(f"bad sample count {_quote(parts[4])} in trajectory spec") from exc
-    if n > _MAX_TRAJECTORY_SAMPLES:
-        raise ValueError(f"trajectory sample count must be at most {_MAX_TRAJECTORY_SAMPLES:,}")
+    if not 2 <= n <= _MAX_TRAJECTORY_SAMPLES:  # a negative count must not offset the total
+        raise ValueError(f"trajectory sample count must be from 2 to {_MAX_TRAJECTORY_SAMPLES:,}")
     return start, end, n
 
 
@@ -279,17 +280,18 @@ def _cmd_map(args) -> int:
     markers = []
     if args.points:
         with open(args.points, "r", encoding="utf-8") as fh:
-            games = matrices_from_lines(fh)
-        for P in games:
+            lines = list(itertools.islice(fh, _MAX_MARKERS + 1))
+        if len(lines) > _MAX_MARKERS:
+            raise ValueError(f"--points file must have at most {_MAX_MARKERS:,} lines")
+        for P in matrices_from_lines(lines):
             try:
                 markers.append((map_point(P), str(P)))
             except TrivialGame:
                 print(f"warning: skipping constant matrix {P} (no map point)", file=sys.stderr)
-    trajectories = []
-    for spec_text in args.trajectory or ():
-        start, end, n = _parse_trajectory_spec(spec_text)
-        samples = trajectory(start, end, n)
-        trajectories.append([s.point for s in samples])
+    specs = [_parse_trajectory_spec(text) for text in args.trajectory or ()]
+    if sum(n for _, _, n in specs) > _MAX_TRAJECTORY_SAMPLES:
+        raise ValueError(f"--trajectory sample counts must total at most {_MAX_TRAJECTORY_SAMPLES:,}")
+    trajectories = [[s.point for s in trajectory(*spec)] for spec in specs]
     _write_output(args.out, render_map(markers=markers, trajectories=trajectories))
     return 0
 
@@ -395,7 +397,7 @@ def _cmd_decompose(args) -> int:
         "degenerate": "trivial" if degenerate == "trivial" else None,
         "boundary": degenerate == "boundary",
         "matrix": report["matrix"],
-        **(report["decomposition"] or dict.fromkeys(_DECOMPOSITION_KEYS)),
+        **(report["decomposition"] or _NO_DECOMPOSITION),
     }
     print(json.dumps(doc, indent=2))
     return 0
@@ -461,7 +463,14 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at exit
+        return code
+    except BrokenPipeError:
+        return 141  # 128 + SIGPIPE, silent as for any program killed by it
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return 130
     except (ValueError, OSError) as exc:
         # Degenerate games are handled inside the commands, so a ValueError
         # here is a parse or usage problem.
@@ -470,7 +479,10 @@ def main(argv: Optional[list] = None) -> int:
 
 
 def console_entry() -> None:
-    sys.exit(main())
+    code = main()
+    if code == 141:  # the exit flush would fail again on the buffered output
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(code)
 
 
 if __name__ == "__main__":

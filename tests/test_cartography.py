@@ -10,6 +10,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from symgame import cartography
 from symgame.cartography import (
     ALL_ORDERINGS,
     BoundaryGame,
@@ -412,14 +413,33 @@ def test_mc_statistical_sanity() -> None:
         assert abs(frac - 1 / 24) < 0.01
 
 
-def test_mc_memory_is_bounded_by_the_sampler_block() -> None:
-    tracemalloc.start()
-    try:
-        mc_region_fractions(10**6, 0, 1)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 16 * 2**20
+def test_mc_memory_is_bounded_by_the_sampler_block(monkeypatch) -> None:
+    # tracemalloc traces every thread, so the two-stream case counts both blocks.
+    for workers in (1, 2):
+        monkeypatch.setattr(cartography, "_usable_cpus", lambda: workers)
+        tracemalloc.start()
+        try:
+            mc_region_fractions(10**6, 0, workers)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20, workers
+
+
+@pytest.mark.parametrize(
+    "seed, workers, n",
+    [(3, 2, 200_001), (5, 3, 100_000), (7, 10_000, 50_003), (1, 7, 13), (2, 4, 3)],
+)
+def test_mc_pooled_counts_equal_one_thread_counts(monkeypatch, seed, workers, n) -> None:
+    """Threads change only who counts a stream, never the counts."""
+    on_this_host = mc_region_fractions(n, seed, workers)
+    monkeypatch.setattr(cartography, "_usable_cpus", lambda: 1)
+    one_thread = mc_region_fractions(n, seed, workers)
+    assert on_this_host == one_thread
+    # Up to four threads, whatever this host has, and more threads than streams.
+    for cpus in (2, 4):
+        monkeypatch.setattr(cartography, "_usable_cpus", lambda: cpus)
+        assert mc_region_fractions(n, seed, workers) == one_thread, cpus
 
 
 def test_mc_workers_beyond_the_samples_stay_idle() -> None:

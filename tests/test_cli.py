@@ -8,8 +8,10 @@ import io
 import json
 import os
 import shutil
+import signal
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
@@ -20,6 +22,7 @@ from hypothesis import given, settings, strategies as st
 
 import symgame
 
+from symgame import cli
 from symgame.cli import build_report, main
 from symgame.payoff import PayoffMatrix
 from symgame.taxonomy import census
@@ -178,6 +181,10 @@ def test_classify_parse_errors_exit_2(capsys) -> None:
     assert "'x'" in err
 
 
+# Stands for a --points file of 100,001 lines, one more than ``map`` accepts.
+_MANY_POINTS = "<100,001 points>"
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -197,16 +204,24 @@ def test_classify_parse_errors_exit_2(capsys) -> None:
         ("fractions", "--samples", "10", "--seed", "-1"),
         ("map", "--trajectory=1,2;3,4;5,6;7,8;100001"),
         ("map", "--trajectory=1,2;3,4;5,6;7,8;1e3"),
+        ("map", "--trajectory=1,2;3,4;5,6;7,8;60000", "--trajectory=4,3;2,1;1,2;3,4;40001"),
+        ("map", "--trajectory=1,2;3,4;5,6;7,8;-5"),
+        ("map", "--points", _MANY_POINTS),
     ],
     ids=[
         "json-bool", "exponent-high", "exponent-low", "json-exponent", "long-literal",
         "json-long-int", "magnitude", "json-infinity", "json-flat-array", "json-deep-nesting",
         "fractions-samples", "fractions-samples-huge", "fractions-workers", "fractions-seed",
-        "trajectory-samples", "trajectory-count",
+        "trajectory-samples", "trajectory-count", "trajectory-total", "trajectory-negative",
+        "map-markers",
     ],
 )
-def test_classify_hostile_input_exits_2(capsys, argv) -> None:
+def test_classify_hostile_input_exits_2(capsys, tmp_path, argv) -> None:
     """Hostile input to any command exits 2 with one error line."""
+    if _MANY_POINTS in argv:
+        points = tmp_path / "points.txt"
+        points.write_text("3,1;4,2\n" * 100_001, encoding="utf-8")
+        argv = tuple(str(points) if arg == _MANY_POINTS else arg for arg in argv)
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == "" and err.startswith("error:") and err.count("\n") == 1
@@ -459,6 +474,64 @@ def test_fractions_worker_split_is_deterministic(capsys) -> None:
     assert out1 == out2
 
 
+def test_interrupt_exits_130_with_one_line(capsys, monkeypatch) -> None:
+    def interrupted(*args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "mc_region_fractions", interrupted)
+    try:
+        code, out, err = run_cli(capsys, "fractions", "--samples", "10", "--workers", "2")
+    except KeyboardInterrupt:
+        pytest.fail("main() let KeyboardInterrupt escape")
+    assert (code, out, err) == (130, "", "error: interrupted\n")
+
+
+def _cli_env() -> dict:
+    return {**os.environ, "PYTHONPATH": str(Path(symgame.__file__).parents[1])}
+
+
+def test_ctrl_c_ends_a_pooled_fractions_run_promptly() -> None:
+    """SIGINT stops every stream at its next block, not at the end of the run."""
+    script = (
+        "import sys; from symgame import cli; print('ready', flush=True); "
+        "sys.argv[1:] = ['fractions', '--samples', '1000000000', '--workers', '2']; "
+        "cli.console_entry()"
+    )
+    proc = subprocess.Popen(
+        [sys.executable, "-c", script],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=_cli_env(),
+    )
+    try:
+        assert proc.stdout.readline() == "ready\n"
+        time.sleep(0.5)  # into the sampler, which takes a minute for 10^9 samples
+        proc.send_signal(signal.SIGINT)
+        out, err = proc.communicate(timeout=20)
+    finally:
+        proc.kill()
+        proc.wait()
+    assert (proc.returncode, out, err) == (130, "", "error: interrupted\n")
+
+
+@pytest.mark.parametrize("command", ["census", "map-points"])
+def test_closed_stdout_pipe_exits_141_silently(tmp_path, command) -> None:
+    """A reader that has gone ends the run quietly, with 128 + SIGPIPE."""
+    argv = ["census"]
+    if command == "map-points":
+        points = tmp_path / "points.txt"
+        points.write_text("3,1;4,2\n" * 3000, encoding="utf-8")
+        argv = ["map", "--points", str(points)]
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "symgame", *argv],
+            stdout=write_end, stderr=subprocess.PIPE, env=_cli_env(), timeout=60, check=False,
+        )
+    finally:
+        os.close(write_end)
+    assert (result.returncode, result.stderr) == (141, b"")
+
+
 # ---------------------------------------------------------------------------
 # ordergraph and map
 
@@ -536,11 +609,20 @@ def test_console_script_smoke() -> None:
 
 @pytest.mark.parametrize("module", ["symgame", "symgame.cli"])
 def test_python_m_runs_the_cli(module) -> None:
-    env = {**os.environ, "PYTHONPATH": str(Path(symgame.__file__).parents[1])}
     result = subprocess.run(
         [sys.executable, "-m", module, "census"],
-        capture_output=True, text=True, check=False, env=env, timeout=60,
+        capture_output=True, text=True, check=False, env=_cli_env(), timeout=60,
     )
     assert result.returncode == 0
     assert "Chicken" in result.stdout
     assert result.stdout.strip().splitlines()[-1].split() == ["total", "24", "24"]
+
+
+def test_importing_the_cli_leaves_the_thread_pool_unloaded() -> None:
+    """``fractions`` imports concurrent.futures, and with it logging, only to pool streams."""
+    script = "import sys, symgame.cli; print('concurrent.futures' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, check=False, env=_cli_env(), timeout=60,
+    )
+    assert (result.returncode, result.stdout) == (0, "False\n")
