@@ -41,7 +41,8 @@ from .payoff import (
     CubePoint,
     GVector,
     TrivialGame,
-    g_transform,
+    _common_denominator,
+    _signed_sums,
     inverse_g_transform,
     normalize_cube,
 )
@@ -219,11 +220,11 @@ def region_of(P: PayoffMatrix) -> ElementaryRegion:
     tie, listing the regions adjacent to the boundary point: those whose sign
     vector agrees with the game's on every nonzero difference.
     """
-    a, b, c, d = P.a, P.b, P.c, P.d
+    _, a, b, c, d = P._scaled
     if a == b or a == c or a == d or b == c or b == d or c == d:
         if a == b == c == d:
             raise TrivialGame("constant matrix belongs to no region")
-        entries = dict(zip(LABELS, P.entries()))
+        entries = dict(zip(LABELS, (a, b, c, d)))
         tied = tuple(
             (x, y) for x, y in itertools.combinations(LABELS, 2) if entries[x] == entries[y]
         )
@@ -279,24 +280,25 @@ def decompose(P: PayoffMatrix) -> Decomposition:
     (i_max, i_mid, i_min), (s_max, s_mid) = row.axes, row.signs
     # Vertex k has g-triple t_k * direction_k: the smallest coordinate splits
     # the two corners, the middle one fixes their sum, the largest the axis.
-    x = g_transform(P).triple()
-    u_minus = (s_mid * x[i_mid] - x[i_min]) / 2
-    u_plus = (s_mid * x[i_mid] + x[i_min]) / 2
-    u_axis = s_max * x[i_max] - s_mid * x[i_mid]
+    # In ints x = 2q*(ga, gb, gab), vertex k carries u_k / 4q t_k, and each
+    # y_k = 3 u_k / t_k is an int (t_k is 1 or 3): scale = sum(y) / 12q.
+    _, *x = _signed_sums(*P._scaled[1:])
+    mid = s_mid * x[i_mid]
+    u = (mid - x[i_min], mid + x[i_min], 2 * (s_max * x[i_max] - mid))
     axis, corner_minus, corner_plus = row.vertices
     ordered = (corner_minus, corner_plus, axis)
-    y = tuple(u / _vertex_scale(v.direction) for u, v in zip((u_minus, u_plus, u_axis), ordered))
-    scale = sum(y)
-    weights = tuple(yk / scale for yk in y)
-    return Decomposition(P.min_entry(), scale, weights, ordered, region)
+    y = tuple(3 * uk // _vertex_scale(v.direction) for uk, v in zip(u, ordered))
+    total = sum(y)
+    weights = tuple(Fraction(yk, total) for yk in y)
+    return Decomposition(P.min_entry(), Fraction(total, 12 * P._scaled[0]), weights, ordered, region)
 
 
 def reconstruct(dec: Decomposition) -> PayoffMatrix:
-    """Rebuild the payoff matrix from a decomposition (must round-trip exactly)."""
-    total = PayoffMatrix.constant(dec.trivial_offset)
-    for w, v in zip(dec.weights, dec.vertices):
-        total = total + (dec.scale * w) * v.matrix
-    return total
+    """Rebuild the matrix from the stated values alone, over one common denominator (exact)."""
+    den, offset, *coefs = _common_denominator(dec.trivial_offset, *(dec.scale * w for w in dec.weights))
+    columns = zip(*(v.matrix._scaled[1:] for v in dec.vertices))  # integer vertex entries
+    sums = (offset + sum(c * x for c, x in zip(coefs, col)) for col in columns)
+    return PayoffMatrix(*(Fraction(n, den) for n in sums))
 
 
 # ---------------------------------------------------------------------------

@@ -58,15 +58,11 @@ _MAX_TRAJECTORY_SAMPLES = 100_000  # per spec and summed over all specs of a map
 _MAX_MARKERS = 100_000  # lines of a --points file
 
 
-def _rat(value) -> str:
-    return str(Fraction(value))
-
-
 def _exact(**values) -> dict:
     """Each value as a "p/q" string under its name, then as a float under ``<name>_decimal``."""
     doc = {}
     for name, value in values.items():
-        doc[name] = _rat(value)
+        doc[name] = str(value)
         doc[f"{name}_decimal"] = float(value)
     return doc
 
@@ -75,14 +71,14 @@ def _coordinates_doc(point) -> dict:
     """A coordinate dataclass's fields, in order, as "p/q" strings and as floats."""
     coords = vars(point)
     return {
-        "rational": {k: _rat(v) for k, v in coords.items()},
+        "rational": {k: str(v) for k, v in coords.items()},
         "decimal": {k: float(v) for k, v in coords.items()},
     }
 
 
 def _matrix_doc(P: PayoffMatrix) -> dict:
     return {
-        "rational": [[_rat(x) for x in row] for row in P.rows()],
+        "rational": [[str(x) for x in row] for row in P.rows()],
         "decimal": [[float(x) for x in row] for row in P.rows()],
     }
 
@@ -102,7 +98,7 @@ def _decomposition_doc(P: PayoffMatrix) -> dict:
     return {
         "region": {"id": dec.region.id, "ordering": dec.region.ordering_text},
         **_exact(offset=dec.trivial_offset, scale=dec.scale),
-        "weights": [_rat(w) for w in dec.weights],
+        "weights": [str(w) for w in dec.weights],
         "weights_decimal": [float(w) for w in dec.weights],
         "vertices": [
             {
@@ -144,8 +140,8 @@ def build_report(P: PayoffMatrix) -> dict:
     report["cube_point"] = _coordinates_doc(normalize_cube(P))
     mp = map_point(P)
     report["map_point"] = {
-        "u": _rat(mp.u),
-        "v": _rat(mp.v),
+        "u": str(mp.u),
+        "v": str(mp.v),
         "u_decimal": float(mp.u),
         "v_decimal": float(mp.v),
         "face": mp.face_tag,
@@ -277,6 +273,9 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_map(args) -> int:
+    specs = [_parse_trajectory_spec(text) for text in args.trajectory or ()]
+    if sum(n for _, _, n in specs) > _MAX_TRAJECTORY_SAMPLES:
+        raise ValueError(f"--trajectory sample counts must total at most {_MAX_TRAJECTORY_SAMPLES:,}")
     markers = []
     if args.points:
         with open(args.points, "r", encoding="utf-8") as fh:
@@ -288,9 +287,6 @@ def _cmd_map(args) -> int:
                 markers.append((map_point(P), str(P)))
             except TrivialGame:
                 print(f"warning: skipping constant matrix {P} (no map point)", file=sys.stderr)
-    specs = [_parse_trajectory_spec(text) for text in args.trajectory or ()]
-    if sum(n for _, _, n in specs) > _MAX_TRAJECTORY_SAMPLES:
-        raise ValueError(f"--trajectory sample counts must total at most {_MAX_TRAJECTORY_SAMPLES:,}")
     trajectories = [[s.point for s in trajectory(*spec)] for spec in specs]
     _write_output(args.out, render_map(markers=markers, trajectories=trajectories))
     return 0

@@ -1,10 +1,11 @@
 """Pure and mixed equilibria, and the relaxed optimality dual.
 
-Everything here is a weak-inequality predicate over exact rationals.  The
-relaxed Pareto notion is deliberately the Nash condition of the transposed
-game: each player maximizes the *other's* payoff.  That duality is what makes
-the classification machinery symmetric, and it is independent of the
-standard (strict-domination) Pareto check, which is kept as an oracle.
+Everything here is a weak-inequality predicate over exact rationals, decided
+on integer numerators (``PayoffMatrix._scaled``).  The relaxed Pareto notion
+is deliberately the Nash condition of the transposed game: each player
+maximizes the *other's* payoff.  That duality makes the classification
+machinery symmetric, and it is independent of the standard
+(strict-domination) Pareto check, which is kept as an oracle.
 """
 
 from __future__ import annotations
@@ -20,17 +21,21 @@ PositionSet = FrozenSet[Position]
 MixedProfile = Fraction
 
 
+def _ne_set(a, b, c, d) -> PositionSet:
+    # The column player's payoff at (i, j) is P[j][i], so (0, 0) is stable when
+    # a >= c, (1, 1) when d >= b, and (0, 1) and (1, 0) when c >= a and b >= d.
+    off_diagonal = ((0, 1), (1, 0)) if c >= a and b >= d else ()
+    return frozenset(((0, 0),) * (a >= c) + off_diagonal + ((1, 1),) * (d >= b))
+
+
 def is_pure_ne(P: PayoffMatrix, pos: Position) -> bool:
     """True when neither player can gain by a unilateral switch (ties count)."""
-    i, j = pos
-    row_ok = P.entry(i, j) >= P.entry(1 - i, j)
-    col_ok = P.entry(j, i) >= P.entry(1 - j, i)  # column payoff at (i,j) is P[j][i]
-    return row_ok and col_ok
+    return pos in pure_nash_set(P)
 
 
 def pure_nash_set(P: PayoffMatrix) -> PositionSet:
     """All pure Nash positions.  Never empty for a symmetric game."""
-    return frozenset(pos for pos in POSITIONS if is_pure_ne(P, pos))
+    return _ne_set(*P._scaled[1:])
 
 
 def relaxed_po_set(P: PayoffMatrix) -> PositionSet:
@@ -39,7 +44,8 @@ def relaxed_po_set(P: PayoffMatrix) -> PositionSet:
     Defined as the pure Nash set of the transposed game, so it inherits
     existence and the off-diagonal pairing property.
     """
-    return pure_nash_set(transpose_game(P))
+    _, a, b, c, d = P._scaled
+    return _ne_set(a, c, b, d)
 
 
 def mixed_nash(P: PayoffMatrix) -> Optional[MixedProfile]:
@@ -50,10 +56,9 @@ def mixed_nash(P: PayoffMatrix) -> Optional[MixedProfile]:
     is then strictly inside (0, 1).  The unstable interior point of
     two-diagonal-equilibrium games is not reported.
     """
-    gain0 = P.a - P.c  # gain to playing 0 when the opponent plays 0
-    gain1 = P.d - P.b  # gain to playing 1 when the opponent plays 1
-    if gain0 < 0 and gain1 < 0:
-        return gain1 / (gain0 + gain1)
+    _, a, b, c, d = P._scaled
+    if a < c and d < b:  # playing 0 against 0 and 1 against 1 both lose
+        return Fraction(d - b, (a - c) + (d - b))
     return None
 
 

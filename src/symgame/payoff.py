@@ -21,6 +21,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Sequence, Union
 
 Rational = Union[int, str, float, Fraction]
@@ -115,6 +116,11 @@ class PayoffMatrix:
     def is_constant(self) -> bool:
         return self.a == self.b == self.c == self.d
 
+    @cached_property
+    def _scaled(self) -> tuple[int, int, int, int, int]:
+        """(q, q*a, q*b, q*c, q*d) in ints: the exact core decides ordering facts on these."""
+        return _common_denominator(self.a, self.b, self.c, self.d)
+
     # Linear-space arithmetic; handy for affine families t*P1 + (1-t)*P0.
     def __add__(self, other: "PayoffMatrix") -> "PayoffMatrix":
         if not isinstance(other, PayoffMatrix):
@@ -200,9 +206,15 @@ class CubePoint:
         return (self.ga, self.gb, self.gab)
 
 
-def _signed_half_sums(w, x, y, z) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-    """Half the sums of (w, x, y, z) with signs ++++, ++--, +-+- and +--+."""
-    return ((w + x + y + z) / 2, (w + x - y - z) / 2, (w - x + y - z) / 2, (w - x - y + z) / 2)
+def _common_denominator(*values: Fraction) -> tuple[int, ...]:
+    """(q, q*v1, q*v2, ...), all ints, with q the lcm of the values' denominators."""
+    q = math.lcm(*(v.denominator for v in values))
+    return (q, *(v.numerator * (q // v.denominator) for v in values))
+
+
+def _signed_sums(w, x, y, z) -> tuple:
+    """The sums of (w, x, y, z) with signs ++++, ++--, +-+- and +--+."""
+    return (w + x + y + z, w + x - y - z, w - x + y - z, w - x - y + z)
 
 
 def g_transform(P: PayoffMatrix) -> GVector:
@@ -211,12 +223,12 @@ def g_transform(P: PayoffMatrix) -> GVector:
     Each output is half a signed sum of the four entries; the matrix of the
     map, scaled by 1/2, is orthogonal and its own inverse.
     """
-    return GVector(*_signed_half_sums(*P.entries()))
+    return GVector(*(Fraction(s, 2 * P._scaled[0]) for s in _signed_sums(*P._scaled[1:])))
 
 
 def inverse_g_transform(G: GVector) -> PayoffMatrix:
     """Reconstruct the payoff matrix from effect coordinates (exact inverse)."""
-    return PayoffMatrix(*_signed_half_sums(G.g0, G.ga, G.gb, G.gab))
+    return PayoffMatrix(*(s / 2 for s in _signed_sums(G.g0, G.ga, G.gb, G.gab)))
 
 
 def center(P: PayoffMatrix) -> PayoffMatrix:
@@ -230,10 +242,9 @@ def normalize_sphere(P: PayoffMatrix) -> Direction:
 
     Raises TrivialGame for constant matrices, which have no direction.
     """
-    ga, gb, gab = g_transform(P).triple()
-    if ga == 0 and gb == 0 and gab == 0:
-        raise TrivialGame("constant matrix has no direction")
-    x, y, z = float(ga), float(gb), float(gab)
+    # The cube point has max-abs coordinate 1, so its norm lies in [1, sqrt(3)]
+    # for any payoff magnitude: squaring neither overflows nor underflows.
+    x, y, z = (float(v) for v in normalize_cube(P).triple())
     norm = math.sqrt(x * x + y * y + z * z)
     return Direction(x / norm, y / norm, z / norm)
 
@@ -244,11 +255,11 @@ def normalize_cube(P: PayoffMatrix) -> CubePoint:
     Exact: all coordinates stay rational.  Raises TrivialGame for constant
     matrices.
     """
-    ga, gb, gab = g_transform(P).triple()
-    m = max(abs(ga), abs(gb), abs(gab))
+    _, *g = _signed_sums(*P._scaled[1:])
+    m = max(map(abs, g))
     if m == 0:
         raise TrivialGame("constant matrix has no cube point")
-    return CubePoint(ga / m, gb / m, gab / m)
+    return CubePoint(*(Fraction(x, m) for x in g))
 
 
 def transpose_game(P: PayoffMatrix) -> PayoffMatrix:

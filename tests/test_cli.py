@@ -11,7 +11,9 @@ import shutil
 import signal
 import subprocess
 import sys
+import tempfile
 import time
+import xml.etree.ElementTree as ET
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
@@ -592,6 +594,77 @@ def test_map_bad_inputs_exit_2(capsys, tmp_path) -> None:
     assert code == 2 and "trajectory spec" in err
     code, _, err = run_cli(capsys, "map", "--points", str(tmp_path / "missing.txt"))
     assert code == 2 and err.startswith("error:")
+
+
+# ---------------------------------------------------------------------------
+# the exit contract over arbitrary input
+
+_game_texts = _games.map(lambda e: "{},{};{},{}".format(*e))
+_matrix_texts = st.one_of(
+    st.text(max_size=80),
+    st.text(alphabet="0123456789-+./,; eE", max_size=24),
+    _game_texts,
+    _games.map(lambda e: json.dumps({"payoff": [e[:2], e[2:]]})),
+)
+_trajectory_specs = st.one_of(
+    st.text(max_size=80),
+    st.builds("{};{};{}".format, _game_texts, _game_texts, st.integers(-3, 30)),
+)
+_points_files = st.one_of(
+    st.none(),
+    st.binary(max_size=200),
+    st.lists(_game_texts, max_size=5).map(lambda lines: "\n".join(lines).encode()),
+)
+
+
+def _outcome(argv) -> tuple:
+    """(exit code, stdout, stderr) of ``main(argv)``, counting a usage exit as a code."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def _assert_error_exit(code, out, err) -> bool:
+    """True for an exit 2 with one ``error:`` line and no output; False for exit 0."""
+    if code == 0:
+        return False
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.endswith("\n") and err.count("\n") == 1
+    return True
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.sampled_from(["classify", "decompose", "ordergraph"]), _matrix_texts)
+def test_matrix_commands_exit_0_with_a_document_or_2_with_one_error_line(command, text) -> None:
+    argv = [command, "--json", "--", text] if command == "classify" else [command, "--", text]
+    code, out, err = _outcome(argv)
+    if _assert_error_exit(code, out, err):
+        return
+    assert err == ""
+    if command == "ordergraph":
+        assert out.startswith("digraph order_graph {") and out.endswith("}\n")
+    else:
+        _validators[{"classify": "report.v1", "decompose": "decompose.v1"}[command]].validate(json.loads(out))
+
+
+@settings(deadline=None, max_examples=30)
+@given(_trajectory_specs, _points_files)
+def test_map_exits_0_with_an_svg_or_2_with_one_error_line(spec, points) -> None:
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = ["map", f"--trajectory={spec}"]
+        if points is not None:
+            path = Path(tmp) / "points.txt"
+            path.write_bytes(points)
+            argv += ["--points", str(path)]
+        code, out, err = _outcome(argv)
+    if _assert_error_exit(code, out, err):
+        return
+    assert all(line.startswith("warning: skipping constant matrix") for line in err.splitlines())
+    assert ET.fromstring(out).tag == "{http://www.w3.org/2000/svg}svg"
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -124,6 +125,23 @@ def test_normalize_sphere() -> None:
     assert abs(ga / gab - (-3.0)) < 1e-12
     with pytest.raises(TrivialGame):
         normalize_sphere(PayoffMatrix.constant(2))
+
+
+@pytest.mark.parametrize(
+    "entries",
+    [("1e300", 0, 0, 0), ("1e-300", 0, 0, 0), ("987654321987654321/3", "-1e300", "1/999983", "-7/1000000007")],
+    ids=["huge", "tiny", "large-p/q"],
+)
+def test_normalize_sphere_at_extreme_magnitudes(entries) -> None:
+    """Squares of the raw g-triple overflow or underflow; the unit vector must not."""
+    P = PayoffMatrix(*entries)
+    n = normalize_sphere(P)
+    assert abs(math.hypot(*n.triple()) - 1.0) < 1e-12
+
+    def signs(xs):
+        return [(x > 0) - (x < 0) for x in xs]
+
+    assert signs(n.triple()) == signs(g_transform(P).triple())
 
 
 def test_normalize_cube_is_exact() -> None:
