@@ -42,6 +42,7 @@ from .payoff import (
     GVector,
     TrivialGame,
     _common_denominator,
+    _cube_ints,
     _signed_sums,
     inverse_g_transform,
     normalize_cube,
@@ -140,32 +141,33 @@ CANONICAL_MATRICES = {d: _canonical(d) for d in CANONICAL_DIRECTIONS}
 # ---------------------------------------------------------------------------
 # Cells of the unfolded cube
 
-#: The nine cells of the cross layout: face tag and (ga, gb, gab) -> (u, v).
+#: The nine cells of the cross layout: face tag and (ga, gb, gab, m) -> m*(u, v)
+#: on the cube of half-side m (written below for m = 1):
 #:   gab=+1 face -> central square (u,v) = (ga, gb)
 #:   gab=-1 face -> four tip triangles, quartered by its diagonals, attached
 #:     to the arm sharing the cut edge; apex of each tip is the face center
 #:   ga=+-1 faces -> side arms (+-2 -+ gab, gb)
 #:   gb=+-1 faces -> top/bottom arms (ga, +-2 -+ gab)
 _CELLS = (
-    ("gab+", lambda ga, gb, gab: (ga, gb)),
-    ("gab-", lambda ga, gb, gab: (4 - ga, gb)),
-    ("gab-", lambda ga, gb, gab: (-4 - ga, gb)),
-    ("gab-", lambda ga, gb, gab: (ga, 4 - gb)),
-    ("gab-", lambda ga, gb, gab: (ga, -4 - gb)),
-    ("ga+", lambda ga, gb, gab: (2 - gab, gb)),
-    ("ga-", lambda ga, gb, gab: (-2 + gab, gb)),
-    ("gb+", lambda ga, gb, gab: (ga, 2 - gab)),
-    ("gb-", lambda ga, gb, gab: (ga, -2 + gab)),
+    ("gab+", lambda ga, gb, gab, m: (ga, gb)),
+    ("gab-", lambda ga, gb, gab, m: (4 * m - ga, gb)),
+    ("gab-", lambda ga, gb, gab, m: (-4 * m - ga, gb)),
+    ("gab-", lambda ga, gb, gab, m: (ga, 4 * m - gb)),
+    ("gab-", lambda ga, gb, gab, m: (ga, -4 * m - gb)),
+    ("ga+", lambda ga, gb, gab, m: (2 * m - gab, gb)),
+    ("ga-", lambda ga, gb, gab, m: (-2 * m + gab, gb)),
+    ("gb+", lambda ga, gb, gab, m: (ga, 2 * m - gab)),
+    ("gb-", lambda ga, gb, gab, m: (ga, -2 * m + gab)),
 )
 
 
-def _cell(ga, gb, gab) -> int:
-    """Index into ``_CELLS`` of the cell that draws a cube-surface point.
+def _cell(ga, gb, gab, m) -> int:
+    """Index into ``_CELLS`` of the cell that draws a point of the cube of half-side m.
 
     Points on edges or corners take the gab face first, then ga, then gb;
     ties on the gab=-1 diagonals go to the first matching quarter.
     """
-    if abs(gab) == 1:
+    if abs(gab) == m:
         if gab > 0:
             return 0
         if ga >= abs(gb):
@@ -175,7 +177,7 @@ def _cell(ga, gb, gab) -> int:
         if gb >= abs(ga):
             return 3
         return 4
-    if abs(ga) == 1:
+    if abs(ga) == m:
         return 5 if ga > 0 else 6
     return 7 if gb > 0 else 8
 
@@ -203,8 +205,8 @@ def _region_row(region: ElementaryRegion) -> _RegionRow:
         return CANONICAL_MATRICES[tuple(direction)]
 
     vertices = (vertex(0, 0), vertex(s_mid, -1), vertex(s_mid, 1))
-    to_plane = _CELLS[_cell(*point)][1]
-    triangle = tuple(to_plane(*(Fraction(x) for x in v.direction)) for v in vertices)
+    to_plane = _CELLS[_cell(*point, 1)][1]
+    triangle = tuple(to_plane(*(Fraction(x) for x in v.direction), 1) for v in vertices)
     return _RegionRow(vertices, axes, (s_max, s_mid), triangle)
 
 
@@ -314,20 +316,23 @@ class MapPoint:
     face_tag: str
 
 
+def _unfold(g, m) -> MapPoint:
+    """The map point of g on the surface of the cube of half-side m, scaled to the unit cube."""
+    face_tag, to_plane = _CELLS[_cell(*g, m)]
+    return MapPoint(*(Fraction(x, m) for x in to_plane(*g, m)), face_tag)
+
+
 def unfold(cp: CubePoint) -> MapPoint:
     """Unfold a cube-surface point into the cross layout, exactly.
 
     ``_CELLS`` lists the layout and ``_cell`` the rule for edges and corners.
     """
-    ga, gb, gab = cp.triple()
-    face_tag, to_plane = _CELLS[_cell(ga, gb, gab)]
-    u, v = to_plane(ga, gb, gab)
-    return MapPoint(u, v, face_tag)
+    return _unfold(cp.triple(), 1)
 
 
 def map_point(P: PayoffMatrix) -> MapPoint:
-    """Map a non-constant game onto the unfolded cube."""
-    return unfold(normalize_cube(P))
+    """Map a non-constant game onto the unfolded cube, from its integer g-triple."""
+    return _unfold(*_cube_ints(P))
 
 
 def region_triangle(region: ElementaryRegion) -> tuple:
@@ -365,10 +370,14 @@ def trajectory(P0: PayoffMatrix, P1: PayoffMatrix, n: int) -> tuple:
 
     if n < 2:
         raise ValueError("a trajectory needs at least two samples")
+    # Sample k is ((n-1-k)*P0 + k*P1) / (n-1), with Pi = xi/qi over integer numerators.
+    (q0, *x0), (q1, *x1) = P0._scaled, P1._scaled
+    ends = [(q1 * a, q0 * b) for a, b in zip(x0, x1)]
+    den = q0 * q1 * (n - 1)
     samples = []
     for k in range(n):
         t = Fraction(k, n - 1)
-        M = (1 - t) * P0 + t * P1
+        M = PayoffMatrix(*(Fraction((n - 1 - k) * a + k * b, den) for a, b in ends))
         trivial = M.is_constant()
         point = None if trivial else map_point(M)
         game_class = None

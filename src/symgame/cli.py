@@ -278,7 +278,7 @@ def _cmd_map(args) -> int:
         raise ValueError(f"--trajectory sample counts must total at most {_MAX_TRAJECTORY_SAMPLES:,}")
     markers = []
     if args.points:
-        with open(args.points, "r", encoding="utf-8") as fh:
+        with open(args.points, "r", encoding="utf-8-sig") as fh:
             lines = list(itertools.islice(fh, _MAX_MARKERS + 1))
         if len(lines) > _MAX_MARKERS:
             raise ValueError(f"--points file must have at most {_MAX_MARKERS:,} lines")

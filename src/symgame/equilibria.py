@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import FrozenSet, Optional, Tuple
 
-from .payoff import POSITIONS, PayoffMatrix, Position, Rational, _as_fraction, transpose_game
+from .payoff import POSITIONS, PayoffMatrix, Position, Rational, _as_fraction
 
 PositionSet = FrozenSet[Position]
 
@@ -48,6 +48,12 @@ def relaxed_po_set(P: PayoffMatrix) -> PositionSet:
     return _ne_set(a, c, b, d)
 
 
+def _mixed(a, b, c, d) -> Optional[MixedProfile]:
+    if a < c and d < b:  # playing 0 against 0 and 1 against 1 both lose
+        return Fraction(d - b, (a - c) + (d - b))
+    return None
+
+
 def mixed_nash(P: PayoffMatrix) -> Optional[MixedProfile]:
     """The stable interior mixed equilibrium, when the game has one.
 
@@ -56,15 +62,13 @@ def mixed_nash(P: PayoffMatrix) -> Optional[MixedProfile]:
     is then strictly inside (0, 1).  The unstable interior point of
     two-diagonal-equilibrium games is not reported.
     """
-    _, a, b, c, d = P._scaled
-    if a < c and d < b:  # playing 0 against 0 and 1 against 1 both lose
-        return Fraction(d - b, (a - c) + (d - b))
-    return None
+    return _mixed(*P._scaled[1:])
 
 
 def mixed_po(P: PayoffMatrix) -> Optional[MixedProfile]:
     """Mixed profile of the relaxed optimality dual: mixed_nash of the transpose."""
-    return mixed_nash(transpose_game(P))
+    _, a, b, c, d = P._scaled
+    return _mixed(a, c, b, d)
 
 
 def expected_payoff(P: PayoffMatrix, p_row: Rational, p_col: Rational) -> Tuple[Fraction, Fraction]:
@@ -74,13 +78,12 @@ def expected_payoff(P: PayoffMatrix, p_row: Rational, p_col: Rational) -> Tuple[
     for p in (pr, pc):
         if not 0 <= p <= 1:
             raise ValueError(f"probability {p} outside [0, 1]")
-    row_value = Fraction(0)
-    col_value = Fraction(0)
-    for (i, j) in POSITIONS:
-        weight = (pr if i == 0 else 1 - pr) * (pc if j == 0 else 1 - pc)
-        row_value += weight * P.entry(i, j)
-        col_value += weight * P.entry(j, i)
-    return (row_value, col_value)
+    q, a, b, c, d = P._scaled
+    (r, s), (t, u) = pr.as_integer_ratio(), pc.as_integer_ratio()
+    # Weights of (0,0), (0,1), (1,0) and (1,1) times s*u; the column player sees b and c swapped.
+    w00, w01, w10, w11 = r * t, r * (u - t), (s - r) * t, (s - r) * (u - t)
+    return (Fraction(w00 * a + w01 * b + w10 * c + w11 * d, s * u * q),
+            Fraction(w00 * a + w01 * c + w10 * b + w11 * d, s * u * q))
 
 
 def standard_pareto_set(P: PayoffMatrix) -> PositionSet:

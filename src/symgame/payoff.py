@@ -249,16 +249,22 @@ def normalize_sphere(P: PayoffMatrix) -> Direction:
     return Direction(x / norm, y / norm, z / norm)
 
 
+def _cube_ints(P: PayoffMatrix) -> tuple:
+    """(g, m): the integer g-triple g = 2q*(ga, gb, gab) and its max-abs m > 0."""
+    _, *g = _signed_sums(*P._scaled[1:])
+    m = max(map(abs, g))
+    if m == 0:
+        raise TrivialGame("constant matrix has no cube point")
+    return g, m
+
+
 def normalize_cube(P: PayoffMatrix) -> CubePoint:
     """Project (ga, gb, gab) onto the unit cube surface by max-abs scaling.
 
     Exact: all coordinates stay rational.  Raises TrivialGame for constant
     matrices.
     """
-    _, *g = _signed_sums(*P._scaled[1:])
-    m = max(map(abs, g))
-    if m == 0:
-        raise TrivialGame("constant matrix has no cube point")
+    g, m = _cube_ints(P)
     return CubePoint(*(Fraction(x, m) for x in g))
 
 

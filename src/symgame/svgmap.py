@@ -8,7 +8,7 @@ byte-identical SVG.
 
 from __future__ import annotations
 
-from fractions import Fraction
+import functools
 from typing import Optional, Sequence, Tuple
 
 from .cartography import MapPoint, REGIONS, region_triangle, region_vertices
@@ -43,7 +43,8 @@ def _xy(u, v) -> str:
     return f"{_fmt(u)},{_fmt(-v)}"
 
 
-def _region_elements() -> list:
+@functools.cache
+def _region_elements() -> tuple:
     """The 24 region polygons, then the vertex labels sorted by position."""
     # The same canonical matrix can sit at one planar point for several
     # regions (cells keep their own copies of cut edges), so labels are
@@ -76,7 +77,7 @@ def _region_elements() -> list:
             f'<tspan x="{x}" dy="0.26">{bottom}</tspan>'
             f"</text>"
         )
-    return parts
+    return tuple(parts)
 
 
 def _legend() -> list:
@@ -95,6 +96,13 @@ def _legend() -> list:
     return parts
 
 
+def _far(p: MapPoint, q: MapPoint) -> bool:
+    """(q.u - p.u)**2 + (q.v - p.v)**2 > 1, decided on integer cross-products."""
+    (pu, pud), (qu, qud), (pv, pvd), (qv, qvd) = (x.as_integer_ratio() for x in (p.u, q.u, p.v, q.v))
+    du, dv = (qu * pud - pu * qud) * pvd * qvd, (qv * pvd - pv * qvd) * pud * qud
+    return du * du + dv * dv > (pud * qud * pvd * qvd) ** 2
+
+
 def _split_runs(points: Sequence[Optional[MapPoint]]) -> list:
     """Break a point sequence into drawable runs.
 
@@ -106,7 +114,7 @@ def _split_runs(points: Sequence[Optional[MapPoint]]) -> list:
     previous = None
     for pt in points:
         if pt is not None:
-            if previous is None or (pt.u - previous.u) ** 2 + (pt.v - previous.v) ** 2 > 1:
+            if previous is None or _far(previous, pt):
                 runs.append([])
             runs[-1].append(pt)
         previous = pt
@@ -140,16 +148,18 @@ def _trajectory_elements(trajectories) -> list:
 def _marker_elements(markers) -> list:
     parts = []
     for point, label in markers:
+        (un, ud), (vn, vd) = point.u.as_integer_ratio(), point.v.as_integer_ratio()
+        # Int true division rounds correctly, so each float equals float() of the Fraction it replaces.
         parts.append(
-            f'  <circle cx="{_fmt(point.u)}" cy="{_fmt(-point.v)}" r="0.07" '
+            f'  <circle cx="{_fmt(un / ud)}" cy="{_fmt(-vn / vd)}" r="0.07" '
             f'fill="black"/>'
         )
         if label:
             # What xml.sax.saxutils.escape does, without importing urllib and ssl.
             text = label.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
             parts.append(
-                f'  <text x="{_fmt(point.u + Fraction(1, 8))}" '
-                f'y="{_fmt(-point.v - Fraction(1, 10))}" font-size="0.2" '
+                f'  <text x="{_fmt((8 * un + ud) / (8 * ud))}" '
+                f'y="{_fmt((-10 * vn - vd) / (10 * vd))}" font-size="0.2" '
                 f'font-family="sans-serif">{text}</text>'
             )
     return parts

@@ -579,6 +579,16 @@ def test_map_marks_points_and_warns_on_constant(capsys, tmp_path) -> None:
     assert "[[2,2],[2,2]]" not in svg
 
 
+def test_map_reads_a_points_file_saved_with_a_byte_order_mark(capsys, tmp_path) -> None:
+    points = tmp_path / "points.txt"
+    points.write_bytes(b"\xef\xbb\xbf3,1;4,2\n")
+    target = tmp_path / "map.svg"
+    code, _, err = run_cli(capsys, "map", "--points", str(points), "--out", str(target))
+    assert (code, err) == (0, "")
+    root = ET.fromstring(target.read_text(encoding="utf-8"))
+    assert sum(c.get("r") == "0.07" for c in root.iter("{http://www.w3.org/2000/svg}circle")) == 1
+
+
 def test_map_trajectory_flag(capsys, tmp_path) -> None:
     target = tmp_path / "map.svg"
     code, _, _ = run_cli(

@@ -6,14 +6,35 @@ are defined, and the kernel must return the same value and type.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from symgame.cartography import _ROWS, _vertex_scale, decompose, reconstruct
-from symgame.equilibria import mixed_nash, mixed_po, pure_nash_set, relaxed_po_set
-from symgame.payoff import PayoffMatrix, TrivialGame, g_transform, normalize_cube
+from symgame.cartography import (
+    _ROWS,
+    BoundaryGame,
+    MapPoint,
+    _vertex_scale,
+    decompose,
+    map_point,
+    reconstruct,
+    region_of,
+    trajectory,
+    unfold,
+)
+from symgame.equilibria import expected_payoff, mixed_nash, mixed_po, pure_nash_set, relaxed_po_set
+from symgame.payoff import (
+    GVector,
+    PayoffMatrix,
+    TrivialGame,
+    g_transform,
+    inverse_g_transform,
+    normalize_cube,
+)
+from symgame.svgmap import _far, _fmt, _marker_elements
+from symgame.taxonomy import CLASS_TABLE, region_class_index
 
 _entries = st.one_of(
     st.integers(-10**6, 10**6).map(Fraction),
@@ -26,6 +47,19 @@ games = st.one_of(
     st.tuples(_entries, _entries, _entries).flatmap(lambda v: st.permutations([v[0], *v])),
     _entries.map(lambda x: (x,) * 4),
 ).map(lambda e: PayoffMatrix(*e))
+
+
+@st.composite
+def _edge_and_corner_games(draw) -> PayoffMatrix:
+    """Games whose g-triple has two or three coordinates of equal magnitude."""
+    m = draw(_entries)
+    x = draw(st.sampled_from((m, -m)) | _entries)  # |x| == |m|: a cube corner
+    signs = st.sampled_from((1, -1))
+    triple = draw(st.permutations([draw(signs) * m, draw(signs) * m, x]))
+    return inverse_g_transform(GVector(draw(_entries), *triple))
+
+
+_probabilities = st.fractions(0, 1, max_denominator=10**6)
 
 
 def _half_signed_sums(a, b, c, d) -> tuple:
@@ -71,15 +105,26 @@ def test_normalize_cube_divides_by_the_max_abs_coordinate(P: PayoffMatrix) -> No
     assert _all_fractions(point)
 
 
+def _expected(P: PayoffMatrix, p_row: Fraction, p_col: Fraction) -> tuple:
+    m = P.rows()
+    weight = {(i, j): (p_row if i == 0 else 1 - p_row) * (p_col if j == 0 else 1 - p_col)
+              for i in (0, 1) for j in (0, 1)}
+    return (sum(w * m[i][j] for (i, j), w in weight.items()),
+            sum(w * m[j][i] for (i, j), w in weight.items()))
+
+
 @settings(deadline=None)
-@given(games)
-def test_equilibria_match_the_fraction_definitions(P: PayoffMatrix) -> None:
+@given(games, _probabilities, _probabilities)
+def test_equilibria_match_the_fraction_definitions(P: PayoffMatrix, p_row, p_col) -> None:
     a, b, c, d = P.entries()
     assert pure_nash_set(P) == _nash(a, b, c, d)
     assert relaxed_po_set(P) == _nash(a, c, b, d)
     for got, want in ((mixed_nash(P), _mixed(a, b, c, d)), (mixed_po(P), _mixed(a, c, b, d))):
         assert got == want
         assert want is None or type(got) is Fraction
+    values = expected_payoff(P, p_row, p_col)
+    assert values == _expected(P, p_row, p_col)
+    assert _all_fractions(values)
 
 
 @settings(deadline=None)
@@ -107,3 +152,59 @@ def test_decompose_matches_the_fraction_closed_form(P: PayoffMatrix) -> None:
     rebuilt = reconstruct(dec)
     assert rebuilt == P
     assert _all_fractions(rebuilt.entries())
+
+
+@settings(deadline=None)
+@given(games, games, st.integers(2, 12))
+def test_trajectory_samples_match_the_fraction_interpolation(P0, P1, n) -> None:
+    samples = trajectory(P0, P1, n)
+    assert len(samples) == n
+    for k, sample in enumerate(samples):
+        t = Fraction(k, n - 1)
+        M = (1 - t) * P0 + t * P1
+        trivial = M.is_constant()
+        try:
+            game_class = None if trivial else CLASS_TABLE[region_class_index(region_of(M).id)]
+        except BoundaryGame:
+            game_class = None
+        assert (sample.t, sample.matrix, sample.trivial) == (t, M, trivial)
+        assert sample.point == (None if trivial else unfold(normalize_cube(M)))
+        assert (sample.boundary, sample.game_class) == (not trivial and game_class is None, game_class)
+        assert _all_fractions((sample.t, *sample.matrix.entries()))
+        assert trivial or _all_fractions((sample.point.u, sample.point.v))
+
+
+@settings(deadline=None)
+@given(games | _edge_and_corner_games())
+def test_map_point_unfolds_the_cube_point(P: PayoffMatrix) -> None:
+    if P.is_constant():
+        with pytest.raises(TrivialGame):
+            map_point(P)
+        return
+    point = map_point(P)
+    assert point == unfold(normalize_cube(P))
+    assert _all_fractions((point.u, point.v))
+
+
+_coordinates = st.builds(Fraction, st.integers(-4 * 10**9, 4 * 10**9), st.integers(1, 10**9))
+_points = st.builds(MapPoint, _coordinates, _coordinates, st.just("gab+"))
+
+
+@given(_points, _points)
+def test_far_is_the_fraction_distance_test(p: MapPoint, q: MapPoint) -> None:
+    unit_steps = ((Fraction(3, 5), Fraction(4, 5)), (Fraction(-1), Fraction(0)), (Fraction(4, 5), Fraction(-3, 5)))
+    for r in (q, *(MapPoint(p.u + du, p.v + dv, "gab+") for du, dv in unit_steps)):
+        assert _far(p, r) == ((r.u - p.u) ** 2 + (r.v - p.v) ** 2 > 1)
+    assert not _far(p, MapPoint(p.u + Fraction(3, 5), p.v + Fraction(4, 5), "gab+"))
+
+
+# Odd multiples of 1/20000 sit halfway between two 4-place decimals.
+_halfway = st.integers(-80_000, 80_000).map(lambda k: Fraction(2 * k + 1, 20_000))
+
+
+@given(st.builds(MapPoint, _coordinates | _halfway, _coordinates | _halfway, st.just("gab+")))
+def test_marker_text_formats_the_fraction_sums(point: MapPoint) -> None:
+    circle, label = _marker_elements([(point, "x")])
+    assert re.search(r'cx="([^"]*)" cy="([^"]*)"', circle).groups() == (_fmt(point.u), _fmt(-point.v))
+    want = (_fmt(point.u + Fraction(1, 8)), _fmt(-point.v - Fraction(1, 10)))
+    assert re.search(r'x="([^"]*)" y="([^"]*)"', label).groups() == want
