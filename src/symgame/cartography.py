@@ -270,10 +270,9 @@ def decompose(P: PayoffMatrix) -> Decomposition:
     over the region's axes, which lands on nonnegative weights because the
     triangle's cone contains the game.  Tied-entry games sit on a shared
     boundary and are resolved toward the lowest-id adjacent region (a vertex
-    matrix, for example, decomposes to itself with weight 1).
+    matrix, for example, decomposes to itself with weight 1).  Constant
+    matrices raise TrivialGame from ``region_of``.
     """
-    if P.is_constant():
-        raise TrivialGame("constant matrix has no decomposition")
     try:
         region = region_of(P)
     except BoundaryGame as exc:
@@ -378,15 +377,14 @@ def trajectory(P0: PayoffMatrix, P1: PayoffMatrix, n: int) -> tuple:
     for k in range(n):
         t = Fraction(k, n - 1)
         M = PayoffMatrix(*(Fraction((n - 1 - k) * a + k * b, den) for a, b in ends))
-        trivial = M.is_constant()
-        point = None if trivial else map_point(M)
-        game_class = None
-        boundary = False
-        if not trivial:
-            try:
-                game_class = CLASS_TABLE[region_class_index(region_of(M).id)]
-            except BoundaryGame:
-                boundary = True
+        point, game_class, trivial, boundary = None, None, False, False
+        try:
+            point = map_point(M)
+            game_class = CLASS_TABLE[region_class_index(region_of(M).id)]
+        except TrivialGame:
+            trivial = True
+        except BoundaryGame:
+            boundary = True
         samples.append(TrajectorySample(t, M, point, game_class, boundary, trivial))
     return tuple(samples)
 

@@ -125,17 +125,45 @@ def build_report(P: PayoffMatrix) -> dict:
         "boundary": None,
         "region": None,
         "game_class": None,
-        "nash_equilibria": _positions_doc(pure_nash_set(P)),
-        "pareto_optima": _positions_doc(relaxed_po_set(P)),
-        "mixed_nash": _mixed_doc(P, mixed_nash(P)),
-        "mixed_pareto": _mixed_doc(P, mixed_po(P)),
+        "nash_equilibria": None,
+        "pareto_optima": None,
+        "mixed_nash": None,
+        "mixed_pareto": None,
         "comparison": None,
         "cube_point": None,
         "map_point": None,
         "decomposition": None,
     }
-    if P.is_constant():
+    try:
+        cls = classify(P)
+    except TrivialGame:
         report["degenerate"] = "trivial"
+    except BoundaryGame as exc:
+        report["degenerate"] = "boundary"
+        report["boundary"] = {
+            "tied_pairs": [list(pair) for pair in exc.tied_pairs],
+            "adjacent_region_ids": list(exc.adjacent_region_ids),
+        }
+    else:
+        ne, po, p_ne, p_po = cls.ne_set, cls.po_set, cls.mixed_ne, cls.mixed_po
+        report["region"] = {"id": cls.region.id, "ordering": cls.region.ordering_text}
+        row = cls.game_class
+        report["game_class"] = {
+            "index": region_class_index(cls.region.id),
+            "display_name": row.display_name,
+            "category": row.category.value,
+            "po_status": row.po_status.value,
+            "payoff_comparison": row.payoff_comparison.value,
+            **_exact(fraction=row.fraction),
+        }
+        if cls.comparison_values is not None:
+            ne_value, po_value = cls.comparison_values
+            report["comparison"] = _exact(ne_value=ne_value, po_value=po_value)
+    if report["degenerate"] is not None:
+        ne, po, p_ne, p_po = pure_nash_set(P), relaxed_po_set(P), mixed_nash(P), mixed_po(P)
+    report["nash_equilibria"], report["pareto_optima"] = _positions_doc(ne), _positions_doc(po)
+    report["mixed_nash"], report["mixed_pareto"] = _mixed_doc(P, p_ne), _mixed_doc(P, p_po)
+    if report["degenerate"] == "trivial":
         return report
     report["cube_point"] = _coordinates_doc(normalize_cube(P))
     mp = map_point(P)
@@ -147,28 +175,6 @@ def build_report(P: PayoffMatrix) -> dict:
         "face": mp.face_tag,
     }
     report["decomposition"] = _decomposition_doc(P)
-    try:
-        cls = classify(P)
-    except BoundaryGame as exc:
-        report["degenerate"] = "boundary"
-        report["boundary"] = {
-            "tied_pairs": [list(pair) for pair in exc.tied_pairs],
-            "adjacent_region_ids": list(exc.adjacent_region_ids),
-        }
-        return report
-    report["region"] = {"id": cls.region.id, "ordering": cls.region.ordering_text}
-    row = cls.game_class
-    report["game_class"] = {
-        "index": region_class_index(cls.region.id),
-        "display_name": row.display_name,
-        "category": row.category.value,
-        "po_status": row.po_status.value,
-        "payoff_comparison": row.payoff_comparison.value,
-        **_exact(fraction=row.fraction),
-    }
-    if cls.comparison_values is not None:
-        ne_value, po_value = cls.comparison_values
-        report["comparison"] = _exact(ne_value=ne_value, po_value=po_value)
     return report
 
 

@@ -177,7 +177,7 @@ class Direction:
 
     def __post_init__(self) -> None:
         norm = math.sqrt(self.ga ** 2 + self.gb ** 2 + self.gab ** 2)
-        if abs(norm - 1.0) > 1e-12:
+        if not abs(norm - 1.0) <= 1e-12:  # NaN fails this
             raise ValueError(f"direction norm {norm!r} is not 1")
 
     def triple(self) -> tuple[float, float, float]:

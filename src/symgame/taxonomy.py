@@ -159,7 +159,7 @@ class Classification:
 _NON_DIAGONAL = frozenset({(0, 1), (1, 0)})
 
 
-def _comparison_values(P, row, ne_set, po_set):
+def _comparison_values(P, row, ne_set, po_set, mixed_ne):
     if row.category is Category.ONE_DIAGONAL_NE and row.po_status is not PoStatus.PO_IS_NE:
         (ne_pos,) = ne_set
         ne_value = P.entry(*ne_pos)
@@ -171,10 +171,8 @@ def _comparison_values(P, row, ne_set, po_set):
             po_value = P.entry(*po_pos)
         return (ne_value, po_value)
     if row.po_status is PoStatus.ONE_PO:
-        p = mixed_nash(P)
-        ne_value = expected_payoff(P, p, p)[0]
         (po_pos,) = po_set
-        return (ne_value, P.entry(*po_pos))
+        return (expected_payoff(P, mixed_ne, mixed_ne)[0], P.entry(*po_pos))
     return None
 
 
@@ -188,14 +186,15 @@ def classify(P: PayoffMatrix) -> Classification:
     row = CLASS_TABLE[REGION_ROW[region.id]]
     ne_set = pure_nash_set(P)
     po_set = relaxed_po_set(P)
+    mixed_ne = mixed_nash(P)
     return Classification(
         region=region,
         game_class=row,
         ne_set=ne_set,
         po_set=po_set,
-        mixed_ne=mixed_nash(P),
+        mixed_ne=mixed_ne,
         mixed_po=mixed_po(P),
-        comparison_values=_comparison_values(P, row, ne_set, po_set),
+        comparison_values=_comparison_values(P, row, ne_set, po_set, mixed_ne),
     )
 
 

@@ -7,11 +7,13 @@ are defined, and the kernel must return the same value and type.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from symgame import cli, taxonomy
 from symgame.cartography import (
     _ROWS,
     BoundaryGame,
@@ -208,3 +210,52 @@ def test_marker_text_formats_the_fraction_sums(point: MapPoint) -> None:
     assert re.search(r'cx="([^"]*)" cy="([^"]*)"', circle).groups() == (_fmt(point.u), _fmt(-point.v))
     want = (_fmt(point.u + Fraction(1, 8)), _fmt(-point.v - Fraction(1, 10)))
     assert re.search(r'x="([^"]*)" y="([^"]*)"', label).groups() == want
+
+
+_FACTS = ("pure_nash_set", "relaxed_po_set", "mixed_nash", "mixed_po")
+
+
+@pytest.mark.parametrize(
+    "P, degenerate",
+    [
+        (PayoffMatrix(3, 1, 4, 2), None),
+        (PayoffMatrix(1, 1, 0, 2), "boundary"),
+        (PayoffMatrix.constant(5), "trivial"),
+    ],
+    ids=["strict", "tied", "constant"],
+)
+def test_build_report_decides_each_fact_once(P, degenerate, monkeypatch) -> None:
+    """One classify per report; only a tied or constant game asks the predicates itself."""
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    for module, names in ((cli, ("classify", *_FACTS)), (taxonomy, _FACTS)):
+        for name in names:
+            monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    assert cli.build_report(P)["degenerate"] == degenerate
+    assert calls == Counter(dict.fromkeys(("classify", *_FACTS), 1))
+
+
+@settings(deadline=None)
+@given(games)
+def test_build_report_facts_are_the_predicates(P: PayoffMatrix) -> None:
+    report = cli.build_report(P)
+    assert report["nash_equilibria"] == [list(pos) for pos in sorted(pure_nash_set(P))]
+    assert report["pareto_optima"] == [list(pos) for pos in sorted(relaxed_po_set(P))]
+    for key, p in (("mixed_nash", mixed_nash(P)), ("mixed_pareto", mixed_po(P))):
+        assert (None if report[key] is None else report[key]["p"]) == (None if p is None else str(p))
+    if P.is_constant():
+        assert report["degenerate"] == "trivial"
+        return
+    try:
+        region_of(P)
+    except BoundaryGame:
+        assert report["degenerate"] == "boundary"
+    else:
+        assert report["degenerate"] is None

@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 from symgame.payoff import (
+    Direction,
     GVector,
     PayoffMatrix,
     TrivialGame,
@@ -142,6 +143,15 @@ def test_normalize_sphere_at_extreme_magnitudes(entries) -> None:
         return [(x > 0) - (x < 0) for x in xs]
 
     assert signs(n.triple()) == signs(g_transform(P).triple())
+
+
+@pytest.mark.parametrize("component", range(3), ids=["ga", "gb", "gab"])
+def test_direction_rejects_nan(component) -> None:
+    """A NaN norm compares False both ways, so it must not pass as 1."""
+    triple = [0.0, 0.0, 1.0]
+    triple[component] = math.nan
+    with pytest.raises(ValueError, match="norm"):
+        Direction(*triple)
 
 
 def test_normalize_cube_is_exact() -> None:
