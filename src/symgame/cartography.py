@@ -43,7 +43,6 @@ from .payoff import (
     TrivialGame,
     _common_denominator,
     _cube_ints,
-    _signed_sums,
     inverse_g_transform,
     normalize_cube,
 )
@@ -283,7 +282,7 @@ def decompose(P: PayoffMatrix) -> Decomposition:
     # the two corners, the middle one fixes their sum, the largest the axis.
     # In ints x = 2q*(ga, gb, gab), vertex k carries u_k / 4q t_k, and each
     # y_k = 3 u_k / t_k is an int (t_k is 1 or 3): scale = sum(y) / 12q.
-    _, *x = _signed_sums(*P._scaled[1:])
+    x, _ = _cube_ints(P)
     mid = s_mid * x[i_mid]
     u = (mid - x[i_min], mid + x[i_min], 2 * (s_max * x[i_max] - mid))
     axis, corner_minus, corner_plus = row.vertices
@@ -468,16 +467,14 @@ def mc_region_fractions(n_samples: int, seed: int, n_workers: int = 1) -> MCRegi
         sizes = ((w, base + (w < rem)) for w in range(first, streams, threads))
         return sum(_stream_code_counts(seed, w, m, stop) for w, m in sizes)
 
-    if threads == 1:
-        code_counts = count_streams(0)
-    else:
-        from concurrent.futures import ThreadPoolExecutor  # deferred: it loads logging
-        with ThreadPoolExecutor(threads - 1) as pool:  # this thread counts streams 0, threads, ...
-            try:
-                others = pool.map(count_streams, range(1, threads))
-                code_counts = count_streams(0) + sum(others)
-            finally:
-                stop.set()  # after an interrupt, the other threads end at their next block
+    from concurrent.futures import ThreadPoolExecutor  # deferred: it loads logging
+    # The pool starts a thread per submitted group only, so one group starts none.
+    with ThreadPoolExecutor(threads) as pool:  # this thread counts streams 0, threads, ...
+        try:
+            others = pool.map(count_streams, range(1, threads))
+            code_counts = count_streams(0) + sum(others)
+        finally:
+            stop.set()  # after an interrupt, the other threads end at their next block
     region_counts, class_counts = [0] * 24, [0] * 9
     for code in np.flatnonzero(code_counts):
         region_id = _REGION_ID_BY_CODE[code]  # KeyError: a code no strict ordering has

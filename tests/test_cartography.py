@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import threading
 import tracemalloc
 from fractions import Fraction
 
@@ -440,6 +441,50 @@ def test_mc_pooled_counts_equal_one_thread_counts(monkeypatch, seed, workers, n)
     for cpus in (2, 4):
         monkeypatch.setattr(cartography, "_usable_cpus", lambda: cpus)
         assert mc_region_fractions(n, seed, workers) == one_thread, cpus
+
+
+def test_mc_stream_thread_placement(monkeypatch) -> None:
+    """One usable CPU counts every stream on the caller; more CPUs add pool threads."""
+    calls = []
+    count = cartography._stream_code_counts
+
+    def recording(seed, worker, m, stop):
+        calls.append((worker, threading.get_ident(), threading.active_count()))
+        return count(seed, worker, m, stop)
+
+    monkeypatch.setattr(cartography, "_stream_code_counts", recording)
+    caller, threads_before = threading.get_ident(), threading.active_count()
+    monkeypatch.setattr(cartography, "_usable_cpus", lambda: 1)
+    mc_region_fractions(3_000, 0, 3)
+    assert sorted(calls) == [(w, caller, threads_before) for w in range(3)]
+
+    calls.clear()
+    monkeypatch.setattr(cartography, "_usable_cpus", lambda: 2)
+    mc_region_fractions(3_000, 0, 2)
+    idents = {ident for _, ident, _ in calls}
+    assert len(calls) == len(idents) == 2 and caller in idents
+
+
+def test_mc_error_on_the_calling_thread_stops_the_pool_streams(monkeypatch) -> None:
+    """A stream that fails on the caller stops the pool's streams at their next block."""
+    m = 100 * cartography._MC_BLOCK
+    started, drawn = threading.Event(), []
+    count = cartography._stream_code_counts
+
+    def stopping(seed, worker, size, stop):
+        if worker == 0:  # the calling thread
+            assert started.wait(timeout=60)
+            raise RuntimeError("stream 0 failed")
+        started.set()
+        counts = count(seed, worker, size, stop)
+        drawn.append(int(counts.sum()))
+        return counts
+
+    monkeypatch.setattr(cartography, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(cartography, "_stream_code_counts", stopping)
+    with pytest.raises(RuntimeError, match="stream 0 failed"):
+        mc_region_fractions(2 * m, 0, 2)
+    assert len(drawn) == 1 and drawn[0] < m
 
 
 def test_mc_workers_beyond_the_samples_stay_idle() -> None:

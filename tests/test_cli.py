@@ -702,7 +702,7 @@ def test_python_m_runs_the_cli(module) -> None:
 
 
 def test_importing_the_cli_leaves_the_thread_pool_unloaded() -> None:
-    """``fractions`` imports concurrent.futures, and with it logging, only to pool streams."""
+    """concurrent.futures, and with it logging, is imported only when ``fractions`` runs."""
     script = "import sys, symgame.cli; print('concurrent.futures' in sys.modules)"
     result = subprocess.run(
         [sys.executable, "-c", script],

@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 from symgame.payoff import (
+    CubePoint,
     Direction,
     GVector,
     PayoffMatrix,
@@ -69,6 +70,15 @@ def test_linear_arithmetic() -> None:
     assert 2 * P == PayoffMatrix(2, 4, 6, 8)
     assert P * Fraction(1, 2) == PayoffMatrix(Fraction(1, 2), 1, Fraction(3, 2), 2)
     assert str(P) == "[[1,2],[3,4]]"
+
+
+def test_matrix_plus_or_minus_a_scalar_is_a_type_error() -> None:
+    """Only matrices add to matrices; a scalar offset is ``PayoffMatrix.constant``."""
+    P = PayoffMatrix(1, 2, 3, 4)
+    with pytest.raises(TypeError):
+        P + 1
+    with pytest.raises(TypeError):
+        P - 1
 
 
 def test_g_transform_known_values() -> None:
@@ -161,6 +171,12 @@ def test_normalize_cube_is_exact() -> None:
     assert cp2.triple() == (Fraction(-1, 2), 1, 0)
     with pytest.raises(TrivialGame):
         normalize_cube(PayoffMatrix.constant(0))
+
+
+@pytest.mark.parametrize("triple", [(Fraction(1, 2), 0, 0), (2, 0, 0), (0, 0, 0)])
+def test_cube_point_needs_max_abs_coordinate_one(triple) -> None:
+    with pytest.raises(ValueError, match="max-abs"):
+        CubePoint(*triple)
 
 
 def test_transpose_swaps_off_diagonal() -> None:
