@@ -22,6 +22,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .cartography import (
+    CANONICAL_MATRICES,
     REGIONS,
     BoundaryGame,
     decompose,
@@ -103,7 +104,7 @@ def _decomposition_doc(P: PayoffMatrix) -> dict:
         "vertices": [
             {
                 "direction": [int(x) for x in v.direction],
-                "matrix": _matrix_doc(v.matrix),
+                "matrix": {k: [r[:] for r in rows] for k, rows in _VERTEX_DOCS[v.direction].items()},
             }
             for v in dec.vertices
         ],
@@ -111,6 +112,8 @@ def _decomposition_doc(P: PayoffMatrix) -> dict:
     }
 
 
+# The 14 vertex matrices' documents, built once; each report gets its own copy of the lists.
+_VERTEX_DOCS = {d: _matrix_doc(v.matrix) for d, v in CANONICAL_MATRICES.items()}
 # decompose.v1's decomposition section for a constant matrix: every key, all None.
 _NO_DECOMPOSITION = dict.fromkeys(_decomposition_doc(REGIONS[0].representative()))
 

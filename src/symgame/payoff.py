@@ -40,6 +40,7 @@ class TrivialGame(ValueError):
 #: input cannot build huge integers.
 _TEXT_BOUNDS = "text must be at most 64 characters, with |exponent| <= 300 and |value| <= 1e300"
 _EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)")
+_PLAIN = re.compile(r"(-?[0-9]+)(?:/(0*[1-9][0-9]*)|\.([0-9]+))?")  # n, p/q (q != 0), d.dd
 _MAX_MAGNITUDE = 10 ** 300
 
 
@@ -55,19 +56,25 @@ def _as_fraction(value: Rational, what: str = "payoff") -> Fraction:
     Booleans are rejected.  Strings hold at most 64 characters, a decimal
     exponent of at most 300 and a value of at most 10**300 in absolute value.
     """
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, bool):
-        raise ValueError(f"bad {what} value {_quote(value)}")
-    if isinstance(value, str):
+    if isinstance(value, str):  # first: isinstance(str, Fraction) is an ABC check
+        plain = len(value) <= 64 and _PLAIN.fullmatch(value)
+        if plain:  # under 10**64 in magnitude, so no bound can fail: skip the checks
+            whole, den, decimals = plain.groups()
+            if decimals:
+                return Fraction(int(whole + decimals), 10 ** len(decimals))
+            return Fraction(int(whole), int(den)) if den else Fraction(int(whole))
         exponent = _EXPONENT.search(value)
         if len(value) > 64 or exponent and abs(int(exponent.group(1))) > 300:
             raise ValueError(f"bad {what} value {_quote(value)}: {_TEXT_BOUNDS}")
+    elif isinstance(value, Fraction):
+        return value
+    elif isinstance(value, bool):
+        raise ValueError(f"bad {what} value {_quote(value)}")
     try:
         result = Fraction(value)
     except (ValueError, ZeroDivisionError, TypeError, OverflowError) as exc:
         raise ValueError(f"bad {what} value {_quote(value)}") from exc
-    if isinstance(value, str) and abs(result) > _MAX_MAGNITUDE:
+    if isinstance(value, str) and abs(result.numerator) > _MAX_MAGNITUDE * result.denominator:
         raise ValueError(f"bad {what} value {_quote(value)}: {_TEXT_BOUNDS}")
     return result
 

@@ -376,6 +376,39 @@ def test_trajectory_flags_trivial_samples() -> None:
     assert samples[1].point is None and samples[1].game_class is None
 
 
+_small = st.integers(-3, 3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.tuples(_small, _small, _small, _small),
+    st.tuples(_small, _small, _small, _small),
+    st.sampled_from([2, 3, 4, 5, 7, 9, 13, 25]),
+)
+def test_trajectory_flags_match_exact_crossings(start, end, n) -> None:
+    """Flags and regions follow the exact t at which each entry difference crosses zero.
+
+    Each difference x - y is affine in t, d0 + t*(d1 - d0), so it vanishes at
+    t* = d0 / (d0 - d1) or, when d0 == d1 == 0, along the whole path.
+    """
+    differences = [
+        (start[i] - start[j], end[i] - end[j]) for i, j in itertools.combinations(range(4), 2)
+    ]
+    vanishing = any(d0 == d1 == 0 for d0, d1 in differences)
+    crossings = {
+        Fraction(d0, d0 - d1) for d0, d1 in differences if d0 != d1 and 0 <= Fraction(d0, d0 - d1) <= 1
+    }
+    samples = trajectory(PayoffMatrix(*start), PayoffMatrix(*end), n)
+    regions = {}
+    for s in samples:
+        assert s.trivial == all(d0 + s.t * (d1 - d0) == 0 for d0, d1 in differences)
+        assert (s.boundary or s.trivial) == (vanishing or s.t in crossings)
+        if not (s.boundary or s.trivial):
+            assert s.game_class is not None
+            interval = sum(t < s.t for t in crossings)  # samples between the same two crossings
+            assert regions.setdefault(interval, region_of(s.matrix).id) == region_of(s.matrix).id
+
+
 def test_trajectory_needs_two_samples() -> None:
     with pytest.raises(ValueError):
         trajectory(PayoffMatrix(1, 2, 3, 4), PayoffMatrix(4, 3, 2, 1), 1)

@@ -174,6 +174,20 @@ def test_classify_accepts_json_matrices_with_exact_decimals(capsys) -> None:
     assert report == build_report(PayoffMatrix("1/2", 0, 1, "1/4"))
 
 
+def test_reports_share_no_vertex_document() -> None:
+    """Editing one report's vertex matrices leaves the next report over the same vertices unchanged."""
+    first, second = PayoffMatrix(3, 1, 4, 2), PayoffMatrix(5, 1, 6, 2)
+    expected = json.dumps(build_report(second))
+    report = build_report(first)
+    assert report["region"] == json.loads(expected)["region"]
+    for vertex in report["decomposition"]["vertices"]:
+        for rows in vertex["matrix"].values():
+            rows[0][0] = None
+            rows.append([])
+        vertex["matrix"]["decimal"] = None
+    assert json.dumps(build_report(second)) == expected
+
+
 def test_classify_parse_errors_exit_2(capsys) -> None:
     for bad in ("1,2;3", "1,x;3,4", '{"payoff": [[1, 2]]}', "{oops"):
         code, out, err = run_cli(capsys, "classify", bad)

@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from symgame.payoff import (
     CubePoint,
@@ -14,6 +16,8 @@ from symgame.payoff import (
     GVector,
     PayoffMatrix,
     TrivialGame,
+    _as_fraction,
+    _quote,
     center,
     g_transform,
     inverse_g_transform,
@@ -219,3 +223,58 @@ def test_matrices_from_lines_skips_blanks_and_comments() -> None:
     assert matrices_from_lines(lines) == [PayoffMatrix(3, 1, 4, 2), PayoffMatrix(0, 1, 1, 0)]
     with pytest.raises(ValueError, match="line 2"):
         matrices_from_lines(["1,1;1,1", "nonsense"])
+
+
+def _bounded_fraction(text: str) -> Fraction:
+    """``Fraction(text)`` under the bounds on text values, decided on Fractions: the reference."""
+    bounds = "text must be at most 64 characters, with |exponent| <= 300 and |value| <= 1e300"
+    exponent = re.search(r"[eE]([-+]?\d+(?:_\d+)*)", text)
+    if len(text) > 64 or exponent and abs(int(exponent.group(1))) > 300:
+        raise ValueError(f"bad payoff value {_quote(text)}: {bounds}")
+    try:
+        result = Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"bad payoff value {_quote(text)}") from exc
+    if abs(result) > 10 ** 300:
+        raise ValueError(f"bad payoff value {_quote(text)}: {bounds}")
+    return result
+
+
+def _outcome(convert, text: str):
+    try:
+        return convert(text)
+    except ValueError as exc:
+        return str(exc)
+
+
+_EDGE_LITERALS = (
+    "", "+3", "1_0", "\u0663", "\u00b2", "3/0", "3/00", "5.", "-.5", "-0.0", "-0", "1/-2",
+    "--1", "/", "0x10", " 3", "3 ", "1e300", "-1e300", "1e-300", "1e301", "1E-301", "2e300",
+    "1" * 64, "1" * 65, "-" + "9" * 63, "9" * 62 + ".5", "9" * 62 + "/7", "9" * 64 + "/1",
+)
+
+
+def _edge_examples(test):
+    """Run the test on every edge literal, as explicit examples."""
+    for text in reversed(_EDGE_LITERALS):
+        test = example(text)(test)
+    return test
+
+
+@_edge_examples
+@given(st.one_of(
+    # Signs, underscores, whitespace, non-ASCII digits, slashes, points and exponents.
+    st.from_regex(
+        r"\A\s?[-+]?[0-9_\u0663\u00b2]{0,6}(?:[./][0-9_\u0663]{0,4})?(?:[eE][-+]?[0-9_]{1,4})?\s?\Z"
+    ),
+    # Around the 64-character cut.
+    st.from_regex(r"\A-?[0-9]{60,66}(?:[./][0-9]{1,2})?\Z"),
+))
+def test_as_fraction_matches_fraction_under_the_bounds(text) -> None:
+    """Every literal, plain or not, converts to Fraction's value or fails with the same message."""
+    assert _outcome(_as_fraction, text) == _outcome(_bounded_fraction, text)
+
+
+def test_quote_keeps_64_characters_whole_and_cuts_65() -> None:
+    assert _quote("x" * 62) == repr("x" * 62) and len(repr("x" * 62)) == 64
+    assert _quote("x" * 63) == repr("x" * 63)[:64] + "..."
