@@ -1,133 +1,19 @@
 """Exact classification, decomposition, and mapping of symmetric 2x2 games."""
 
-from .payoff import (
-    PayoffMatrix,
-    GVector,
-    Direction,
-    CubePoint,
-    TrivialGame,
-    g_transform,
-    inverse_g_transform,
-    center,
-    normalize_sphere,
-    normalize_cube,
-    transpose_game,
-    parse_matrix,
-    matrix_from_json,
-    matrices_from_lines,
-)
-from .equilibria import (
-    is_pure_ne,
-    pure_nash_set,
-    relaxed_po_set,
-    mixed_nash,
-    mixed_po,
-    expected_payoff,
-    standard_pareto_set,
-)
-from .cartography import (
-    ALL_ORDERINGS,
-    BoundaryGame,
-    CANONICAL_MATRICES,
-    CanonicalMatrix,
-    Decomposition,
-    ElementaryRegion,
-    MCRegionReport,
-    MapPoint,
-    REGIONS,
-    TrajectorySample,
-    decompose,
-    map_point,
-    mc_region_fractions,
-    reconstruct,
-    region_of,
-    region_vertices,
-    trajectory,
-    unfold,
-)
-from .taxonomy import (
-    CLASS_TABLE,
-    Category,
-    Classification,
-    Comparison,
-    GameClassRecord,
-    PoStatus,
-    census,
-    class_table,
-    classify,
-    enumerate_ordinal_games,
-    region_class_index,
-)
-from .ordergraph import (
-    Arrow,
-    GraphNode,
-    OrderGraph,
-    build_order_graph,
-    graph_nash_set,
-    graph_po_set,
-    to_dot,
-)
-from .svgmap import render_map
+from .payoff import *
+from .equilibria import *
+from .cartography import *
+from .taxonomy import *
+from .ordergraph import *
+from .svgmap import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "PayoffMatrix",
-    "GVector",
-    "Direction",
-    "CubePoint",
-    "TrivialGame",
-    "g_transform",
-    "inverse_g_transform",
-    "center",
-    "normalize_sphere",
-    "normalize_cube",
-    "transpose_game",
-    "parse_matrix",
-    "matrix_from_json",
-    "matrices_from_lines",
-    "is_pure_ne",
-    "pure_nash_set",
-    "relaxed_po_set",
-    "mixed_nash",
-    "mixed_po",
-    "expected_payoff",
-    "standard_pareto_set",
-    "ALL_ORDERINGS",
-    "BoundaryGame",
-    "CANONICAL_MATRICES",
-    "CanonicalMatrix",
-    "Decomposition",
-    "ElementaryRegion",
-    "MCRegionReport",
-    "MapPoint",
-    "REGIONS",
-    "TrajectorySample",
-    "decompose",
-    "map_point",
-    "mc_region_fractions",
-    "reconstruct",
-    "region_of",
-    "region_vertices",
-    "trajectory",
-    "unfold",
-    "CLASS_TABLE",
-    "Category",
-    "Classification",
-    "Comparison",
-    "GameClassRecord",
-    "PoStatus",
-    "census",
-    "class_table",
-    "classify",
-    "enumerate_ordinal_games",
-    "region_class_index",
-    "Arrow",
-    "GraphNode",
-    "OrderGraph",
-    "build_order_graph",
-    "graph_nash_set",
-    "graph_po_set",
-    "to_dot",
-    "render_map",
-]
+__all__ = (
+    payoff.__all__
+    + equilibria.__all__
+    + cartography.__all__
+    + taxonomy.__all__
+    + ordergraph.__all__
+    + svgmap.__all__
+)

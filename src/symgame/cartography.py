@@ -47,12 +47,33 @@ from .payoff import (
     normalize_cube,
 )
 
+__all__ = [
+    "ALL_ORDERINGS",
+    "BoundaryGame",
+    "CANONICAL_MATRICES",
+    "CanonicalMatrix",
+    "Decomposition",
+    "ElementaryRegion",
+    "MCRegionReport",
+    "MapPoint",
+    "REGIONS",
+    "TrajectorySample",
+    "decompose",
+    "map_point",
+    "mc_region_fractions",
+    "reconstruct",
+    "region_of",
+    "region_vertices",
+    "trajectory",
+    "unfold",
+]
+
 LABELS = ("a", "b", "c", "d")
 
 #: All strict orderings of the four entries, largest first; index = region id.
 ALL_ORDERINGS = tuple(itertools.permutations(LABELS))
 
-# The entry pairs (x, y) whose differences x-y make up a sign vector, in order.
+# The entry pairs (x, y), x before y in LABELS, whose differences x-y make up a sign vector, in order.
 _PAIRS = (("a", "c"), ("b", "d"), ("a", "b"), ("c", "d"), ("a", "d"), ("b", "c"))
 
 
@@ -226,10 +247,8 @@ def region_of(P: PayoffMatrix) -> ElementaryRegion:
         if a == b == c == d:
             raise TrivialGame("constant matrix belongs to no region")
         entries = dict(zip(LABELS, (a, b, c, d)))
-        tied = tuple(
-            (x, y) for x, y in itertools.combinations(LABELS, 2) if entries[x] == entries[y]
-        )
         signs = tuple((entries[x] > entries[y]) - (entries[x] < entries[y]) for x, y in _PAIRS)
+        tied = tuple(sorted(pair for pair, s in zip(_PAIRS, signs) if s == 0))
         adjacent = tuple(
             r.id for r in REGIONS if all(s in (0, rs) for s, rs in zip(signs, r.sign_vector))
         )

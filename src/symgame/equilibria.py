@@ -15,6 +15,16 @@ from typing import FrozenSet, Optional, Tuple
 
 from .payoff import POSITIONS, PayoffMatrix, Position, Rational, _as_fraction
 
+__all__ = [
+    "is_pure_ne",
+    "pure_nash_set",
+    "relaxed_po_set",
+    "mixed_nash",
+    "mixed_po",
+    "expected_payoff",
+    "standard_pareto_set",
+]
+
 PositionSet = FrozenSet[Position]
 
 #: Symmetric mixed profile: the shared probability of playing strategy 0.

@@ -18,6 +18,16 @@ from fractions import Fraction
 from .equilibria import PositionSet
 from .payoff import POSITIONS, PayoffMatrix, Position
 
+__all__ = [
+    "Arrow",
+    "GraphNode",
+    "OrderGraph",
+    "build_order_graph",
+    "graph_nash_set",
+    "graph_po_set",
+    "to_dot",
+]
+
 
 @dataclass(frozen=True)
 class GraphNode:

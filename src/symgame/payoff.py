@@ -24,6 +24,23 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Sequence, Union
 
+__all__ = [
+    "PayoffMatrix",
+    "GVector",
+    "Direction",
+    "CubePoint",
+    "TrivialGame",
+    "g_transform",
+    "inverse_g_transform",
+    "center",
+    "normalize_sphere",
+    "normalize_cube",
+    "transpose_game",
+    "parse_matrix",
+    "matrix_from_json",
+    "matrices_from_lines",
+]
+
 Rational = Union[int, str, float, Fraction]
 
 #: The (row, column) strategy pairs of a 2x2 game.
@@ -104,8 +121,7 @@ class PayoffMatrix:
 
     @classmethod
     def constant(cls, value: Rational) -> "PayoffMatrix":
-        v = _as_fraction(value)
-        return cls(v, v, v, v)
+        return cls(value, value, value, value)
 
     def entry(self, i: int, j: int) -> Fraction:
         """Row player's payoff at position (i, j)."""

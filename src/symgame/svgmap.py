@@ -14,6 +14,10 @@ from typing import Optional, Sequence, Tuple
 from .cartography import MapPoint, REGIONS, region_triangle, region_vertices
 from .taxonomy import CLASS_TABLE, region_class_index
 
+__all__ = [
+    "render_map",
+]
+
 #: Fill colors for the nine class-table rows, in table order.
 CLASS_COLORS = (
     "#8dd3c7",

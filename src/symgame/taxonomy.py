@@ -28,6 +28,20 @@ from .equilibria import (
 )
 from .payoff import PayoffMatrix
 
+__all__ = [
+    "CLASS_TABLE",
+    "Category",
+    "Classification",
+    "Comparison",
+    "GameClassRecord",
+    "PoStatus",
+    "census",
+    "class_table",
+    "classify",
+    "enumerate_ordinal_games",
+    "region_class_index",
+]
+
 
 class Category(Enum):
     """Location of the pure Nash equilibria."""
@@ -133,8 +147,7 @@ CLASS_TABLE = tuple(
     for cat, po, cmp_, count, name, example, _ in _ROW_SPECS
 )
 
-_ROW_OF_ORDERING = {text: k for k, spec in enumerate(_ROW_SPECS) for text in spec[6]}
-REGION_ROW = {r.id: _ROW_OF_ORDERING[r.ordering_text] for r in REGIONS}
+REGION_ROW = {r.id: k for r in REGIONS for k, row in enumerate(_ROW_SPECS) if r.ordering_text in row[6]}
 
 
 def region_class_index(region_id: int) -> int:

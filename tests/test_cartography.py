@@ -29,7 +29,14 @@ from symgame.cartography import (
     trajectory,
     unfold,
 )
-from symgame.payoff import CubePoint, PayoffMatrix, TrivialGame, g_transform
+from symgame.payoff import (
+    CubePoint,
+    GVector,
+    PayoffMatrix,
+    TrivialGame,
+    g_transform,
+    inverse_g_transform,
+)
 
 from test_payoff import random_matrix
 
@@ -245,6 +252,99 @@ def test_decompose_boundary_resolves_to_lowest_region() -> None:
 def test_decompose_rejects_constant() -> None:
     with pytest.raises(TrivialGame):
         decompose(PayoffMatrix.constant(-1))
+
+
+# ---------------------------------------------------------------------------
+# Symmetry: S4 permuting the entries (a, b, c, d)
+#
+# The six planes are the reflecting hyperplanes x_i = x_j of S4 acting on the
+# entries, so the 24 regions are its chambers and all congruent (each 1/24 of
+# the sphere).  Every permutation acts on (ga, gb, gab) as a signed
+# permutation: S4 is affine on F2^2, so it maps the characters to +- each other.
+
+PERMUTATIONS = tuple(itertools.permutations(range(4)))
+
+
+def _permuted(sigma: tuple, P: PayoffMatrix) -> PayoffMatrix:
+    """sigma.P: entry i of the result is entry sigma[i] of P."""
+    entries = P.entries()
+    return PayoffMatrix(*(entries[k] for k in sigma))
+
+
+def _sign(sigma: tuple) -> int:
+    return (-1) ** sum(sigma[i] > sigma[j] for i, j in itertools.combinations(range(len(sigma)), 2))
+
+
+def _induced_map(sigma: tuple) -> tuple:
+    """Rows of the 3x3 matrix by which sigma acts on (ga, gb, gab), from g_transform."""
+    columns = []
+    for k in range(3):
+        axis = [Fraction(0)] * 3
+        axis[k] = Fraction(1)
+        image = g_transform(_permuted(sigma, inverse_g_transform(GVector(0, *axis))))
+        assert image.g0 == 0
+        columns.append(image.triple())
+    return tuple(zip(*columns))
+
+
+def _apply(matrix: tuple, vector: tuple) -> tuple:
+    return tuple(sum(m * x for m, x in zip(row, vector)) for row in matrix)
+
+
+def test_permutations_act_as_signed_permutation_matrices() -> None:
+    rng = random.Random(24)
+    games = [random_matrix(rng) for _ in range(20)]
+    for sigma in PERMUTATIONS:
+        rows = _induced_map(sigma)
+        support = [[k for k, x in enumerate(row) if x != 0] for row in rows]
+        assert all(len(s) == 1 for s in support)
+        where = tuple(s[0] for s in support)
+        assert sorted(where) == [0, 1, 2]
+        signs = [rows[i][where[i]] for i in range(3)]
+        assert all(abs(s) == 1 for s in signs)
+        assert _sign(where) * signs[0] * signs[1] * signs[2] == _sign(sigma)  # the determinant
+        for P in games:  # g0 is fixed and the triple moves by the matrix alone
+            G, image = g_transform(P), g_transform(_permuted(sigma, P))
+            assert image.g0 == G.g0
+            assert image.triple() == _apply(rows, G.triple())
+
+
+def test_canonical_matrices_are_closed_under_permutations() -> None:
+    for sigma in PERMUTATIONS:
+        rows = _induced_map(sigma)
+        for direction, vertex in CANONICAL_MATRICES.items():
+            image = tuple(int(x) for x in _apply(rows, direction))
+            assert _permuted(sigma, vertex.matrix) == CANONICAL_MATRICES[image].matrix
+
+
+def test_permuted_game_lies_in_the_relabelled_region() -> None:
+    rng = random.Random(4)
+    games = [region.representative() for region in REGIONS]
+    games += [random_generic_matrix(rng) for _ in range(100)]
+    for sigma in PERMUTATIONS:
+        label_of = {LABELS[sigma[i]]: LABELS[i] for i in range(4)}  # P's label -> sigma.P's
+        for P in games:
+            relabelled = tuple(label_of[x] for x in region_of(P).ordering)
+            assert region_of(_permuted(sigma, P)).ordering == relabelled
+
+
+def test_permutations_act_simply_transitively_on_the_regions() -> None:
+    start = REGIONS[0].representative()
+    orbit = [region_of(_permuted(sigma, start)).id for sigma in PERMUTATIONS]
+    assert sorted(orbit) == list(range(24))  # 24 images of one region, so no stabilizer
+
+
+def test_decompose_commutes_with_permutations() -> None:
+    rng = random.Random(2003)
+    for _ in range(100):
+        P = random_generic_matrix(rng)
+        dec = decompose(P)
+        for sigma in PERMUTATIONS:
+            image = decompose(_permuted(sigma, P))
+            assert (image.trivial_offset, image.scale) == (dec.trivial_offset, dec.scale)
+            assert {v.matrix: w for v, w in zip(image.vertices, image.weights)} == {
+                _permuted(sigma, v.matrix): w for v, w in zip(dec.vertices, dec.weights)
+            }
 
 
 # ---------------------------------------------------------------------------
