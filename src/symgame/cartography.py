@@ -16,12 +16,12 @@ over the three vertices of its triangle, with nonnegative weights summing
 to 1.  Projecting to the unit cube (max-abs normalization) and unfolding the
 cube into a cross yields planar map coordinates for plotting.
 
-Every region fact lives in one table built at import: a row per region,
-keyed by the 6-bit sign code of (a-c, b-d, a-b, c-d, a-d, b-c), holding the
+Region facts live in ``_ROWS``, one row per region id built at import: the
 vertex triple, the (ga, gb, gab) axes ordered by magnitude with their signs,
-and the triangle's corners on the unfolded cross.  ``region_of`` computes
-the code from six exact comparisons, the Monte Carlo sampler from the
-sampled (ga, gb, gab) columns.
+and the triangle's corners on the unfolded cross.  ``_REGION_ID_BY_CODE``
+maps the 6-bit sign code of (a-c, b-d, a-b, c-d, a-d, b-c) to the id; the
+code comes from six exact comparisons in ``region_of`` and from the sampled
+columns in the Monte Carlo sampler.  Class rows are ``taxonomy.REGION_ROW``.
 """
 
 from __future__ import annotations

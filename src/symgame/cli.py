@@ -343,10 +343,10 @@ def _fractions_doc(report) -> dict:
 
 
 def _cmd_fractions(args) -> int:
-    if args.samples > _MAX_SAMPLES:
-        raise ValueError(f"--samples must be at most {_MAX_SAMPLES:,}")
-    if args.workers > _MAX_WORKERS:
-        raise ValueError(f"--workers must be at most {_MAX_WORKERS:,}")
+    if not 1 <= args.samples <= _MAX_SAMPLES:
+        raise ValueError(f"--samples must be from 1 to {_MAX_SAMPLES:,}")
+    if not 1 <= args.workers <= _MAX_WORKERS:
+        raise ValueError(f"--workers must be from 1 to {_MAX_WORKERS:,}")
     if args.seed < 0:
         raise ValueError("--seed must be >= 0")
     report = mc_region_fractions(args.samples, args.seed, args.workers)

@@ -305,7 +305,7 @@ def parse_matrix(text: str) -> PayoffMatrix:
 
     Entries may be integers, exact decimal strings, or fractions "p/q".
     """
-    rows = [r for r in text.strip().split(";")]
+    rows = text.strip().split(";")
     if len(rows) != 2:
         raise ValueError(f"expected 2 rows separated by ';', got {len(rows)} in {_quote(text)}")
     values = []
@@ -313,9 +313,8 @@ def parse_matrix(text: str) -> PayoffMatrix:
         cells = row.split(",")
         if len(cells) != 2:
             raise ValueError(f"expected 2 entries per row, got {len(cells)} in {_quote(row.strip())}")
-        for cell in cells:
-            values.append(_as_fraction(cell.strip()))
-    return PayoffMatrix(*values)
+        values += (cell.strip() for cell in cells)
+    return PayoffMatrix(*values)  # the constructor coerces a, b, c, d in order
 
 
 def matrix_from_json(obj: object) -> PayoffMatrix:

@@ -244,9 +244,20 @@ def test_classify_hostile_input_exits_2(capsys, tmp_path, argv) -> None:
     assert "int_max_str_digits" not in err
 
 
-def test_seed_error_names_the_flag(capsys) -> None:
-    code, _, err = run_cli(capsys, "fractions", "--samples", "10", "--seed", "-1")
-    assert code == 2 and err == "error: --seed must be >= 0\n"
+#: One out-of-range value per ``fractions`` flag, and the error that names it.
+FRACTIONS_RANGE_ERRORS = {
+    "--seed=-1": "--seed must be >= 0",
+    "--samples=0": "--samples must be from 1 to 1,000,000,000",
+    "--samples=1000000001": "--samples must be from 1 to 1,000,000,000",
+    "--workers=0": "--workers must be from 1 to 10,000",
+    "--workers=10001": "--workers must be from 1 to 10,000",
+}
+
+
+@pytest.mark.parametrize("arg", FRACTIONS_RANGE_ERRORS)
+def test_fractions_range_errors_name_the_flag(capsys, arg) -> None:
+    code, out, err = run_cli(capsys, "fractions", arg)
+    assert (code, out, err) == (2, "", f"error: {FRACTIONS_RANGE_ERRORS[arg]}\n")
 
 
 @pytest.mark.parametrize("kind", ["points-line", "trajectory-spec", "json-array"])

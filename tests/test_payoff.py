@@ -208,6 +208,22 @@ def test_parse_matrix_errors_name_the_problem() -> None:
         parse_matrix("3,1")
     with pytest.raises(ValueError, match="2 entries"):
         parse_matrix("3,1,2;4,2")
+    # Both shape checks run before any value is read.
+    with pytest.raises(ValueError, match=re.escape("expected 2 entries per row, got 1 in '2'")):
+        parse_matrix("x,1;2")
+
+
+def test_parse_matrix_coerces_each_literal_once(monkeypatch) -> None:
+    calls = []
+
+    def counting(value, *args):
+        calls.append(value)
+        return _as_fraction(value, *args)
+
+    expected = PayoffMatrix(3, Fraction(1, 2), Fraction(1, 4), -2)
+    monkeypatch.setattr("symgame.payoff._as_fraction", counting)
+    assert parse_matrix(" 3 ,1/2;0.25,-2") == expected
+    assert calls == ["3", "1/2", "0.25", "-2"]
 
 
 def test_matrix_from_json() -> None:
