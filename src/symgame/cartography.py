@@ -6,9 +6,9 @@ functional equals a pairwise difference of payoff entries, so the triangles
 are in bijection with the strict orderings of (a, b, c, d) and every
 membership test is an exact rational sign check.
 
-The vertices of the partition are 6 axis directions and 8 cube corners; each
-carries a canonical integer payoff matrix with minimum entry 0.  Any
-non-trivial game decomposes exactly as
+The vertices of the partition are 6 axis directions and 8 cube corners, one
+per nonempty proper subset S of the four entries: the integer payoff matrix
+that is 6/|S| on S and 0 elsewhere.  Any non-trivial game decomposes exactly as
 
     P = offset * J + scale * (w1*V1 + w2*V2 + w3*V3)
 
@@ -17,11 +17,11 @@ to 1.  Projecting to the unit cube (max-abs normalization) and unfolding the
 cube into a cross yields planar map coordinates for plotting.
 
 Region facts live in ``_ROWS``, one row per region id built at import: the
-vertex triple, the (ga, gb, gab) axes ordered by magnitude with their signs,
-and the triangle's corners on the unfolded cross.  ``_REGION_ID_BY_CODE``
-maps the 6-bit sign code of (a-c, b-d, a-b, c-d, a-d, b-c) to the id; the
-code comes from six exact comparisons in ``region_of`` and from the sampled
-columns in the Monte Carlo sampler.  Class rows are ``taxonomy.REGION_ROW``.
+vertex triple and the triangle's corners on the unfolded cross.  The 6-bit
+sign code of (a-c, b-d, a-b, c-d, a-d, b-c) maps to the id through
+``_REGION_ID_BY_CODE``; the code comes from six exact comparisons in
+``region_of`` and from the sampled columns in the Monte Carlo sampler.  Class
+rows are ``taxonomy.REGION_ROW``.
 """
 
 from __future__ import annotations
@@ -135,19 +135,14 @@ class CanonicalMatrix:
     matrix: PayoffMatrix
 
 
-def _vertex_scale(direction: tuple) -> int:
-    """The t with g_transform(vertex matrix).triple() == t * direction."""
-    da, db, dab = direction
-    axis = (da, db, dab).count(0) == 2
-    # Corner matrices come in two integer shapes: product +1 gives a lone
-    # high entry (scale 3), product -1 gives three equal entries (scale 1).
-    return 3 if axis or da * db * dab > 0 else 1
-
-
 def _canonical(direction: tuple) -> CanonicalMatrix:
-    t = _vertex_scale(direction)
-    raw = inverse_g_transform(GVector(0, *(t * x for x in direction)))
-    return CanonicalMatrix(direction, raw - PayoffMatrix.constant(raw.min_entry()))
+    """The vertex along ``direction``: 6/k on its top k entries, 0 elsewhere, summing to 6.
+
+    Its zero-level matrix takes two values, and its top k entries hold the larger one.
+    """
+    level = inverse_g_transform(GVector(0, *direction)).entries()
+    top = [x == max(level) for x in level]
+    return CanonicalMatrix(direction, PayoffMatrix(*(6 // top.count(True) * t for t in top)))
 
 
 _AXIS_DIRECTIONS = (
@@ -208,15 +203,12 @@ def _cell(ga, gb, gab, m) -> int:
 
 class _RegionRow(NamedTuple):
     vertices: tuple  # (axis, corner_minus, corner_plus) CanonicalMatrix
-    axes: tuple  # (i_max, i_mid, i_min): (ga, gb, gab) indices by |value|
-    signs: tuple  # (s_max, s_mid); the sign of the smallest varies inside
     triangle: tuple  # map (u, v) of the vertices, drawn in the region's cell
 
 
 def _region_row(region: ElementaryRegion) -> _RegionRow:
     point = normalize_cube(region.representative()).triple()
-    axes = tuple(sorted(range(3), key=lambda k: abs(point[k]), reverse=True))
-    i_max, i_mid, i_min = axes
+    i_max, i_mid, i_min = sorted(range(3), key=lambda k: abs(point[k]), reverse=True)
     s_max, s_mid = (1 if point[k] > 0 else -1 for k in (i_max, i_mid))
 
     def vertex(mid: int, low: int) -> CanonicalMatrix:
@@ -227,7 +219,7 @@ def _region_row(region: ElementaryRegion) -> _RegionRow:
     vertices = (vertex(0, 0), vertex(s_mid, -1), vertex(s_mid, 1))
     to_plane = _CELLS[_cell(*point, 1)][1]
     triangle = tuple(to_plane(*(Fraction(x) for x in v.direction), 1) for v in vertices)
-    return _RegionRow(vertices, axes, (s_max, s_mid), triangle)
+    return _RegionRow(vertices, triangle)
 
 
 _ROWS = tuple(_region_row(region) for region in REGIONS)  # indexed by region id
@@ -282,34 +274,27 @@ class Decomposition:
 
 
 def decompose(P: PayoffMatrix) -> Decomposition:
-    """Exact decomposition over the game's triangle vertices.
+    """Exact decomposition over the game's triangle vertices: the layer cake.
 
-    The trivial offset is the minimum entry; the rest solves in closed form
-    over the region's axes, which lands on nonnegative weights because the
-    triangle's cone contains the game.  Tied-entry games sit on a shared
-    boundary and are resolved toward the lowest-id adjacent region (a vertex
-    matrix, for example, decomposes to itself with weight 1).  Constant
-    matrices raise TrivialGame from ``region_of``.
+    With the entries sorted s[0] >= ... >= s[3], P = s[3]*J + the sum over
+    k = 1, 2, 3 of (s[k-1] - s[k]) * 1{top k}, and the triangle's vertex with
+    k nonzero entries is 6/k * 1{top k}.  So the weights, the gaps times k over
+    their sum, are plainly nonnegative.  Tied-entry games resolve toward the
+    lowest-id adjacent region, whose ordering sorts them too (a vertex matrix
+    decomposes to itself with weight 1).  Constant matrices raise TrivialGame.
     """
     try:
         region = region_of(P)
     except BoundaryGame as exc:
         region = REGIONS[min(exc.adjacent_region_ids)]
-    row = _ROWS[region.id]
-    (i_max, i_mid, i_min), (s_max, s_mid) = row.axes, row.signs
-    # Vertex k has g-triple t_k * direction_k: the smallest coordinate splits
-    # the two corners, the middle one fixes their sum, the largest the axis.
-    # In ints x = 2q*(ga, gb, gab), vertex k carries u_k / 4q t_k, and each
-    # y_k = 3 u_k / t_k is an int (t_k is 1 or 3): scale = sum(y) / 12q.
-    x, _ = _cube_ints(P)
-    mid = s_mid * x[i_mid]
-    u = (mid - x[i_min], mid + x[i_min], 2 * (s_max * x[i_max] - mid))
-    axis, corner_minus, corner_plus = row.vertices
+    axis, corner_minus, corner_plus = _ROWS[region.id].vertices
     ordered = (corner_minus, corner_plus, axis)
-    y = tuple(3 * uk // _vertex_scale(v.direction) for uk, v in zip(u, ordered))
+    q, *entries = P._scaled
+    s = sorted(entries, reverse=True)
+    y = tuple(k * (s[k - 1] - s[k]) for k in (6 // max(v.matrix._scaled[1:]) for v in ordered))
     total = sum(y)
     weights = tuple(Fraction(yk, total) for yk in y)
-    return Decomposition(P.min_entry(), Fraction(total, 12 * P._scaled[0]), weights, ordered, region)
+    return Decomposition(P.min_entry(), Fraction(total, 6 * q), weights, ordered, region)
 
 
 def reconstruct(dec: Decomposition) -> PayoffMatrix:

@@ -287,8 +287,11 @@ def _cmd_map(args) -> int:
         raise ValueError(f"--trajectory sample counts must total at most {_MAX_TRAJECTORY_SAMPLES:,}")
     markers = []
     if args.points:
-        with open(args.points, "r", encoding="utf-8-sig") as fh:
-            lines = list(itertools.islice(fh, _MAX_MARKERS + 1))
+        try:
+            with open(args.points, "r", encoding="utf-8-sig") as fh:
+                lines = list(itertools.islice(fh, _MAX_MARKERS + 1))
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"--points file {_quote(args.points)} is not UTF-8 text") from exc
         if len(lines) > _MAX_MARKERS:
             raise ValueError(f"--points file must have at most {_MAX_MARKERS:,} lines")
         for P in matrices_from_lines(lines):

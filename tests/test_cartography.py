@@ -172,6 +172,7 @@ def test_region_vertices_bound_their_region() -> None:
             if corner_minus.direction[k] != corner_plus.direction[k]
         ]
         assert len(diff) == 1
+        top_counts = set()
         # Every vertex matrix satisfies the region's weak entry ordering.
         for vertex in (axis, corner_minus, corner_plus):
             entries = dict(zip(("a", "b", "c", "d"), vertex.matrix.entries()))
@@ -179,6 +180,12 @@ def test_region_vertices_bound_their_region() -> None:
             assert all(entries[o[k]] >= entries[o[k + 1]] for k in range(3))
             # The smallest entry of the region is zero at every vertex.
             assert entries[o[3]] == 0
+            # The vertex is 6/k on the region's top k labels and 0 elsewhere.
+            k = sum(1 for x in entries.values() if x)
+            assert {label for label, x in entries.items() if x} == set(o[:k])
+            assert all(entries[label] == Fraction(6, k) for label in o[:k])
+            top_counts.add(k)
+        assert top_counts == {1, 2, 3}
 
 
 # ---------------------------------------------------------------------------

@@ -629,6 +629,10 @@ def test_map_bad_inputs_exit_2(capsys, tmp_path) -> None:
     assert code == 2 and "trajectory spec" in err
     code, _, err = run_cli(capsys, "map", "--points", str(tmp_path / "missing.txt"))
     assert code == 2 and err.startswith("error:")
+    latin = tmp_path / "latin.txt"
+    latin.write_bytes(b"1,2;3,4\n5,6;7,8\n\xff\n")
+    code, _, err = run_cli(capsys, "map", "--points", str(latin))
+    assert code == 2 and err.startswith("error: --points file ") and err.count("\n") == 1
 
 
 # ---------------------------------------------------------------------------

@@ -15,10 +15,8 @@ from hypothesis import given, settings, strategies as st
 
 from symgame import cli, taxonomy
 from symgame.cartography import (
-    _ROWS,
     BoundaryGame,
     MapPoint,
-    _vertex_scale,
     decompose,
     map_point,
     reconstruct,
@@ -137,16 +135,23 @@ def test_decompose_matches_the_fraction_closed_form(P: PayoffMatrix) -> None:
             decompose(P)
         return
     dec = decompose(P)
-    # The closed form over Fraction coordinates, in the region's axes.
-    row = _ROWS[dec.region.id]
-    (i_max, i_mid, i_min), (s_max, s_mid) = row.axes, row.signs
+    # The closed form over Fraction g-coordinates, in the axes the vertices
+    # name: the axis vertex's nonzero index is the largest coordinate, and
+    # the two corners differ in the smallest.
+    corner_minus, corner_plus, axis = (v.direction for v in dec.vertices)
+    i_max = next(k for k in range(3) if axis[k])
+    i_min = next(k for k in range(3) if corner_minus[k] != corner_plus[k])
+    i_mid = 3 - i_max - i_min
+    s_max, s_mid = axis[i_max], corner_minus[i_mid]
     x = _half_signed_sums(*P.entries())[1:]
     u = (
         (s_mid * x[i_mid] - x[i_min]) / 2,
         (s_mid * x[i_mid] + x[i_min]) / 2,
         s_max * x[i_max] - s_mid * x[i_mid],
     )
-    y = [uk / _vertex_scale(v.direction) for uk, v in zip(u, dec.vertices)]
+    # Vertex k's g-triple is t_k times its direction, whose entries are 0 or +-1.
+    t = [max(map(abs, g_transform(v.matrix).triple())) for v in dec.vertices]
+    y = [uk / tk for uk, tk in zip(u, t)]
     assert dec.trivial_offset == min(P.entries())
     assert dec.scale == sum(y)
     assert dec.weights == tuple(yk / sum(y) for yk in y)
