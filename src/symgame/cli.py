@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import itertools
 import json
 import os
@@ -57,6 +58,7 @@ _MAX_SAMPLES = 10 ** 9
 _MAX_WORKERS = 10_000
 _MAX_TRAJECTORY_SAMPLES = 100_000  # per spec and summed over all specs of a map
 _MAX_MARKERS = 100_000  # lines of a --points file
+_MAX_POINTS_CHARS = 2 ** 24  # characters of a --points file, read before it is split into lines
 
 
 def _exact(**values) -> dict:
@@ -268,8 +270,11 @@ def _write_output(path: Optional[str], text: str) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
         return
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ValueError(f"--out file {_quote(path)}: {exc.strerror}") from exc
 
 
 def _cmd_classify(args) -> int:
@@ -288,12 +293,14 @@ def _cmd_map(args) -> int:
     markers = []
     if args.points:
         try:
-            with open(args.points, "r", encoding="utf-8-sig") as fh:
-                lines = list(itertools.islice(fh, _MAX_MARKERS + 1))
-        except UnicodeDecodeError as exc:
-            raise ValueError(f"--points file {_quote(args.points)} is not UTF-8 text") from exc
-        if len(lines) > _MAX_MARKERS:
-            raise ValueError(f"--points file must have at most {_MAX_MARKERS:,} lines")
+            with open(args.points, encoding="utf-8-sig") as fh:
+                lines = list(itertools.islice(io.StringIO(fh.read(_MAX_POINTS_CHARS + 1)), _MAX_MARKERS + 1))
+        except (OSError, UnicodeDecodeError) as exc:
+            why = "not UTF-8 text" if isinstance(exc, UnicodeDecodeError) else exc.strerror
+            raise ValueError(f"--points file {_quote(args.points)}: {why}") from exc
+        if len(lines) > _MAX_MARKERS or sum(map(len, lines)) > _MAX_POINTS_CHARS:
+            limits = f"{_MAX_MARKERS:,} lines or {_MAX_POINTS_CHARS:,} characters"
+            raise ValueError(f"--points file {_quote(args.points)} exceeds {limits}")
         for P in matrices_from_lines(lines):
             try:
                 markers.append((map_point(P), str(P)))

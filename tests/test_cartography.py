@@ -564,7 +564,16 @@ def test_mc_memory_is_bounded_by_the_sampler_block(monkeypatch) -> None:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 16 * 2**20, workers
+        assert peak < 4 * 2**20, workers
+
+
+def test_mc_counts_do_not_depend_on_the_block(monkeypatch) -> None:
+    """Blocks continue the stream, so the block size changes memory use but not the samples."""
+    expected = {workers: mc_region_fractions(100_003, 4, workers) for workers in (1, 3)}
+    for block in (1, 7, 16_384, 65_536):  # past 1, each stream ends in a partial block
+        monkeypatch.setattr(cartography, "_MC_BLOCK", block)
+        for workers, report in expected.items():
+            assert mc_region_fractions(100_003, 4, workers).region_counts == report.region_counts
 
 
 @pytest.mark.parametrize(

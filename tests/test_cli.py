@@ -624,15 +624,41 @@ def test_map_trajectory_flag(capsys, tmp_path) -> None:
     assert "<polyline" in svg
 
 
-def test_map_bad_inputs_exit_2(capsys, tmp_path) -> None:
+def test_map_bad_inputs_exit_2(capsys, monkeypatch, tmp_path) -> None:
     code, _, err = run_cli(capsys, "map", "--trajectory=1,2;3,4;5")
     assert code == 2 and "trajectory spec" in err
-    code, _, err = run_cli(capsys, "map", "--points", str(tmp_path / "missing.txt"))
-    assert code == 2 and err.startswith("error:")
-    latin = tmp_path / "latin.txt"
-    latin.write_bytes(b"1,2;3,4\n5,6;7,8\n\xff\n")
-    code, _, err = run_cli(capsys, "map", "--points", str(latin))
-    assert code == 2 and err.startswith("error: --points file ") and err.count("\n") == 1
+    monkeypatch.chdir(tmp_path)
+    Path("latin.txt").write_bytes(b"1,2;3,4\n5,6;7,8\n\xff\n")
+    # Each file error names its flag and its path.
+    for path, why in (
+        ("missing.txt", "No such file or directory"),
+        (".", "Is a directory"),
+        ("latin.txt", "not UTF-8 text"),
+    ):
+        code, _, err = run_cli(capsys, "map", "--points", path)
+        assert (code, err) == (2, f"error: --points file {path!r}: {why}\n")
+    for command, path, why in (
+        (["map"], "missing/map.svg", "No such file or directory"),
+        (["ordergraph", "3,1;4,2"], ".", "Is a directory"),
+    ):
+        code, _, err = run_cli(capsys, *command, "--out", path)
+        assert (code, err) == (2, f"error: --out file {path!r}: {why}\n")
+
+
+def test_map_points_files_are_bounded_by_size(capsys, monkeypatch, tmp_path) -> None:
+    """The file is read up to one character past the cap, so no line can grow without bound."""
+    monkeypatch.setattr(cli, "_MAX_POINTS_CHARS", 64)
+    monkeypatch.chdir(tmp_path)
+    Path("at_cap.txt").write_text("1,2;3,4\n" + "#" * 55 + "\n", encoding="utf-8")  # 8 + 56 characters
+    code, out, err = run_cli(capsys, "map", "--points", "at_cap.txt")
+    assert (code, err) == (0, "") and out.count("<circle") == 1
+    Path("over.txt").write_text("1,2;3,4\n" + "#" * 56 + "\n", encoding="utf-8")
+    for path in ("over.txt", "/dev/zero"):
+        if not os.path.exists(path):
+            pytest.skip(f"{path} is missing")
+        code, out, err = run_cli(capsys, "map", "--points", path)
+        assert (code, out) == (2, "")
+        assert err == f"error: --points file {path!r} exceeds 100,000 lines or 64 characters\n"
 
 
 # ---------------------------------------------------------------------------
