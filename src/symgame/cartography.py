@@ -20,7 +20,7 @@ Region facts live in ``_ROWS``, one row per region id built at import: the
 vertex triple and the triangle's corners on the unfolded cross.  The 6-bit
 sign code of (a-c, b-d, a-b, c-d, a-d, b-c) maps to the id through
 ``_REGION_ID_BY_CODE``; the code comes from six exact comparisons in
-``region_of`` and from the sampled columns in the Monte Carlo sampler.  Class
+``_region_id`` and from the sampled columns in the Monte Carlo sampler.  Class
 rows are ``taxonomy.REGION_ROW``.
 """
 
@@ -227,6 +227,13 @@ _ROWS = tuple(_region_row(region) for region in REGIONS)  # indexed by region id
 _REGION_ID_BY_CODE = {_sign_code(*(s > 0 for s in r.sign_vector)): r.id for r in REGIONS}
 
 
+def _region_id(a, b, c, d) -> Optional[int]:
+    """The region id of the ordering of a, b, c, d, or None when two of them are tied."""
+    if a == b or a == c or a == d or b == c or b == d or c == d:
+        return None
+    return _REGION_ID_BY_CODE[_sign_code(a > c, b > d, a > b, c > d, a > d, b > c)]
+
+
 def region_of(P: PayoffMatrix) -> ElementaryRegion:
     """The elementary region of a strict-generic game.
 
@@ -235,7 +242,8 @@ def region_of(P: PayoffMatrix) -> ElementaryRegion:
     vector agrees with the game's on every nonzero difference.
     """
     _, a, b, c, d = P._scaled
-    if a == b or a == c or a == d or b == c or b == d or c == d:
+    region_id = _region_id(a, b, c, d)
+    if region_id is None:
         if a == b == c == d:
             raise TrivialGame("constant matrix belongs to no region")
         entries = dict(zip(LABELS, (a, b, c, d)))
@@ -245,7 +253,7 @@ def region_of(P: PayoffMatrix) -> ElementaryRegion:
             r.id for r in REGIONS if all(s in (0, rs) for s, rs in zip(signs, r.sign_vector))
         )
         raise BoundaryGame(tied, adjacent)
-    return REGIONS[_REGION_ID_BY_CODE[_sign_code(a > c, b > d, a > b, c > d, a > d, b > c)]]
+    return REGIONS[region_id]
 
 
 def region_vertices(region: ElementaryRegion) -> tuple:
@@ -334,7 +342,7 @@ def unfold(cp: CubePoint) -> MapPoint:
 
 def map_point(P: PayoffMatrix) -> MapPoint:
     """Map a non-constant game onto the unfolded cube, from its integer g-triple."""
-    return _unfold(*_cube_ints(P))
+    return _unfold(*_cube_ints(*P._scaled[1:]))
 
 
 def region_triangle(region: ElementaryRegion) -> tuple:
@@ -378,17 +386,16 @@ def trajectory(P0: PayoffMatrix, P1: PayoffMatrix, n: int) -> tuple:
     den = q0 * q1 * (n - 1)
     samples = []
     for k in range(n):
-        t = Fraction(k, n - 1)
-        M = PayoffMatrix(*(Fraction((n - 1 - k) * a + k * b, den) for a, b in ends))
-        point, game_class, trivial, boundary = None, None, False, False
+        x = [(n - 1 - k) * a + k * b for a, b in ends]  # sample k's numerators over den
         try:
-            point = map_point(M)
-            game_class = CLASS_TABLE[region_class_index(region_of(M).id)]
+            point, trivial = _unfold(*_cube_ints(*x)), False  # no positive scale moves a cube point
         except TrivialGame:
-            trivial = True
-        except BoundaryGame:
-            boundary = True
-        samples.append(TrajectorySample(t, M, point, game_class, boundary, trivial))
+            point, trivial = None, True
+        region_id = _region_id(*x)
+        game_class = None if region_id is None else CLASS_TABLE[region_class_index(region_id)]
+        boundary = region_id is None and not trivial
+        M = PayoffMatrix(*(Fraction(xi, den) for xi in x))
+        samples.append(TrajectorySample(Fraction(k, n - 1), M, point, game_class, boundary, trivial))
     return tuple(samples)
 
 

@@ -14,8 +14,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
-import itertools
 import json
 import os
 import sys
@@ -294,11 +292,13 @@ def _cmd_map(args) -> int:
     if args.points:
         try:
             with open(args.points, encoding="utf-8-sig") as fh:
-                lines = list(itertools.islice(io.StringIO(fh.read(_MAX_POINTS_CHARS + 1)), _MAX_MARKERS + 1))
+                text = fh.read(_MAX_POINTS_CHARS + 1)
         except (OSError, UnicodeDecodeError) as exc:
             why = "not UTF-8 text" if isinstance(exc, UnicodeDecodeError) else exc.strerror
             raise ValueError(f"--points file {_quote(args.points)}: {why}") from exc
-        if len(lines) > _MAX_MARKERS or sum(map(len, lines)) > _MAX_POINTS_CHARS:
+        # No pieces means too long ("".split gives [""]); a final "\n" leaves a last piece "", not a line.
+        lines = text.split("\n", _MAX_MARKERS) if len(text) <= _MAX_POINTS_CHARS else []
+        if not lines or any(lines[_MAX_MARKERS:]):
             limits = f"{_MAX_MARKERS:,} lines or {_MAX_POINTS_CHARS:,} characters"
             raise ValueError(f"--points file {_quote(args.points)} exceeds {limits}")
         for P in matrices_from_lines(lines):

@@ -272,9 +272,9 @@ def normalize_sphere(P: PayoffMatrix) -> Direction:
     return Direction(x / norm, y / norm, z / norm)
 
 
-def _cube_ints(P: PayoffMatrix) -> tuple:
-    """(g, m): the integer g-triple g = 2q*(ga, gb, gab) and its max-abs m > 0."""
-    _, *g = _signed_sums(*P._scaled[1:])
+def _cube_ints(a: int, b: int, c: int, d: int) -> tuple:
+    """(g, m): the g-triple of integer entries, 2*(ga, gb, gab), and its max-abs m > 0."""
+    _, *g = _signed_sums(a, b, c, d)
     m = max(map(abs, g))
     if m == 0:
         raise TrivialGame("constant matrix has no cube point")
@@ -287,7 +287,7 @@ def normalize_cube(P: PayoffMatrix) -> CubePoint:
     Exact: all coordinates stay rational.  Raises TrivialGame for constant
     matrices.
     """
-    g, m = _cube_ints(P)
+    g, m = _cube_ints(*P._scaled[1:])
     return CubePoint(*(Fraction(x, m) for x in g))
 
 

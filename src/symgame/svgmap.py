@@ -100,15 +100,15 @@ def _legend() -> list:
     return parts
 
 
-def _far(p: MapPoint, q: MapPoint) -> bool:
-    """(q.u - p.u)**2 + (q.v - p.v)**2 > 1, decided on integer cross-products."""
-    (pu, pud), (qu, qud), (pv, pvd), (qv, qvd) = (x.as_integer_ratio() for x in (p.u, q.u, p.v, q.v))
+def _far(p: tuple, q: tuple) -> bool:
+    """(qu - pu)**2 + (qv - pv)**2 > 1 for points ((un, ud), (vn, vd)), on integer cross-products."""
+    ((pu, pud), (pv, pvd)), ((qu, qud), (qv, qvd)) = p, q
     du, dv = (qu * pud - pu * qud) * pvd * qvd, (qv * pvd - pv * qvd) * pud * qud
     return du * du + dv * dv > (pud * qud * pvd * qvd) ** 2
 
 
-def _split_runs(points: Sequence[Optional[MapPoint]]) -> list:
-    """Break a point sequence into drawable runs.
+def _split_runs(points: Sequence[Optional[tuple]]) -> list:
+    """Break a sequence of points, as ``_far`` takes them or None, into drawable runs.
 
     A run ends at a missing point (trivial sample) or at a jump longer than 1
     map unit, which is how a path looks when it leaves one cut edge of the
@@ -129,8 +129,10 @@ def _trajectory_elements(trajectories) -> list:
     parts = []
     for index, points in enumerate(trajectories):
         color = TRAJECTORY_COLORS[index % len(TRAJECTORY_COLORS)]
-        for run in _split_runs(points):
-            coords = " ".join(_xy(pt.u, pt.v) for pt in run)
+        ratios = [None if pt is None else (pt.u.as_integer_ratio(), pt.v.as_integer_ratio()) for pt in points]
+        for run in _split_runs(ratios):
+            # Int true division rounds correctly, so each float equals float() of its Fraction.
+            coords = " ".join(f"{_fmt(un / ud)},{_fmt(-vn / vd)}" for (un, ud), (vn, vd) in run)
             parts.append(
                 f'  <polyline points="{coords}" fill="none" '
                 f'stroke="{color}" stroke-width="0.05"/>'

@@ -13,6 +13,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 import xml.etree.ElementTree as ET
 from fractions import Fraction
 from importlib import resources
@@ -652,6 +653,17 @@ def test_map_points_files_are_bounded_by_size(capsys, monkeypatch, tmp_path) -> 
     Path("at_cap.txt").write_text("1,2;3,4\n" + "#" * 55 + "\n", encoding="utf-8")  # 8 + 56 characters
     code, out, err = run_cli(capsys, "map", "--points", "at_cap.txt")
     assert (code, err) == (0, "") and out.count("<circle") == 1
+    with monkeypatch.context() as patch:  # a final newline ends the last line and starts none
+        patch.setattr(cli, "_MAX_MARKERS", 3)
+        for text in ("1,2;3,4\n" * 3, "1,2;3,4\n" * 2 + "1,2;3,4", "1,2;3,4\r\n" * 3, "1,2;3,4\x0c\x85\u2028\n" * 3):
+            Path("three.txt").write_bytes(text.encode())
+            code, out, err = run_cli(capsys, "map", "--points", "three.txt")
+            assert (code, err) == (0, "") and out.count("<circle") == 3
+        for text in ("1,2;3,4\n" * 4, "1,2;3,4\n" * 3 + "#", "\n" * 4, "1,2;3,4\r" * 4):
+            Path("four.txt").write_bytes(text.encode())
+            code, out, err = run_cli(capsys, "map", "--points", "four.txt")
+            assert (code, out) == (2, "")
+            assert err == "error: --points file 'four.txt' exceeds 3 lines or 64 characters\n"
     Path("over.txt").write_text("1,2;3,4\n" + "#" * 56 + "\n", encoding="utf-8")
     for path in ("over.txt", "/dev/zero"):
         if not os.path.exists(path):
@@ -659,6 +671,20 @@ def test_map_points_files_are_bounded_by_size(capsys, monkeypatch, tmp_path) -> 
         code, out, err = run_cli(capsys, "map", "--points", path)
         assert (code, out) == (2, "")
         assert err == f"error: --points file {path!r} exceeds 100,000 lines or 64 characters\n"
+
+
+def test_map_points_memory_is_bounded_by_the_cap(capsys) -> None:
+    """An endless --points file is read once, to one character past the cap, then refused."""
+    if not os.path.exists("/dev/zero"):
+        pytest.skip("/dev/zero is missing")
+    tracemalloc.start()
+    try:
+        code = cli.main(["map", "--points", "/dev/zero", "--out", os.devnull])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and "exceeds" in capsys.readouterr().err
+    assert peak < 3 * 2 ** 24
 
 
 # ---------------------------------------------------------------------------

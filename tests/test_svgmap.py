@@ -7,7 +7,7 @@ from fractions import Fraction
 
 from hypothesis import given, strategies as st
 
-from symgame.cartography import MapPoint, map_point, trajectory
+from symgame.cartography import map_point, trajectory
 from symgame.payoff import PayoffMatrix
 from symgame.svgmap import CLASS_COLORS, _fmt, _split_runs, render_map
 
@@ -49,11 +49,16 @@ def test_markers_draw_dot_and_label() -> None:
     assert unlabeled.count('r="0.07"') == 1
 
 
+def _point(u, v) -> tuple:
+    """A map point as ``_split_runs`` takes it: the integer ratios of u and v."""
+    return (Fraction(u).as_integer_ratio(), Fraction(v).as_integer_ratio())
+
+
 def test_split_runs_breaks_on_gaps_and_missing_points() -> None:
-    a = MapPoint(0, 0, "gab+")
-    b = MapPoint(Fraction(1, 4), 0, "gab+")
-    c = MapPoint(Fraction(7, 2), 0, "gab-")  # far side of the cross
-    d = MapPoint(Fraction(15, 4), 0, "gab-")
+    a = _point(0, 0)
+    b = _point(Fraction(1, 4), 0)
+    c = _point(Fraction(7, 2), 0)  # far side of the cross
+    d = _point(Fraction(15, 4), 0)
     assert _split_runs([a, b, c, d]) == [[a, b], [c, d]]
     assert _split_runs([a, b, None, c, d]) == [[a, b], [c, d]]
     assert _split_runs([a, None, b]) == []  # single points are not drawable
@@ -63,22 +68,21 @@ def test_split_runs_breaks_on_gaps_and_missing_points() -> None:
     assert _split_runs([None, a, b]) == [[a, b]]  # leading gap
     assert _split_runs([a, b, None, c, None, a, b]) == [[a, b], [a, b]]
     assert _split_runs([a, b, c, a, b]) == [[a, b], [a, b]]  # lone point between jumps
-    e = MapPoint(1, 0, "gab+")
+    e = _point(1, 0)
     assert _split_runs([a, e]) == [[a, e]]  # a step of exactly 1 unit stays drawn
 
 
-# Paths on a half-unit grid, where steps of 1 map unit or less are common;
-# the face tag carries the position, so equal coordinates stay distinct points.
+# Paths on a half-unit grid, where steps of 1 map unit or less are common.
+# Each point is its own tuple object, so equal coordinates stay distinct points.
 _grid = st.integers(-4, 4).map(lambda k: Fraction(k, 2))
 _paths = st.lists(st.none() | st.tuples(_grid, _grid), max_size=30).map(
-    lambda cells: [
-        None if cell is None else MapPoint(cell[0], cell[1], str(i)) for i, cell in enumerate(cells)
-    ]
+    lambda cells: [None if cell is None else _point(*cell) for cell in cells]
 )
 
 
-def _close(p: MapPoint, q: MapPoint) -> bool:
-    return (p.u - q.u) ** 2 + (p.v - q.v) ** 2 <= 1
+def _close(p: tuple, q: tuple) -> bool:
+    (pu, pv), (qu, qv) = ([Fraction(*ratio) for ratio in pt] for pt in (p, q))
+    return (pu - qu) ** 2 + (pv - qv) ** 2 <= 1
 
 
 @given(_paths)
@@ -86,8 +90,8 @@ def test_split_runs_are_short_step_slices(points) -> None:
     drawn_pairs = set()
     for run in _split_runs(points):
         assert len(run) >= 2
-        start = points.index(run[0])
-        assert points[start : start + len(run)] == run
+        start = next(i for i, pt in enumerate(points) if pt is run[0])
+        assert list(map(id, points[start : start + len(run)])) == list(map(id, run))
         assert all(_close(p, q) for p, q in zip(run, run[1:]))
         drawn_pairs.update(range(start, start + len(run) - 1))
     for i, (p, q) in enumerate(zip(points, points[1:])):
