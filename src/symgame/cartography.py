@@ -8,7 +8,8 @@ membership test is an exact rational sign check.
 
 The vertices of the partition are 6 axis directions and 8 cube corners, one
 per nonempty proper subset S of the four entries: the integer payoff matrix
-that is 6/|S| on S and 0 elsewhere.  Any non-trivial game decomposes exactly as
+6/|S| on S, 0 elsewhere.  Region w > x > y > z is the open cone over those on
+its prefix sets {w}, {w,x} and {w,x,y}, and any non-trivial game decomposes as
 
     P = offset * J + scale * (w1*V1 + w2*V2 + w3*V3)
 
@@ -44,7 +45,6 @@ from .payoff import (
     _common_denominator,
     _cube_ints,
     inverse_g_transform,
-    normalize_cube,
 )
 
 __all__ = [
@@ -151,6 +151,10 @@ _AXIS_DIRECTIONS = (
 _CORNER_DIRECTIONS = tuple(itertools.product((1, -1), repeat=3))
 CANONICAL_DIRECTIONS = _AXIS_DIRECTIONS + _CORNER_DIRECTIONS
 CANONICAL_MATRICES = {d: _canonical(d) for d in CANONICAL_DIRECTIONS}
+# The vertex on each nonempty proper subset of the labels: those of its nonzero entries.
+_VERTEX_ON = {
+    frozenset(x for x, e in zip(LABELS, v.matrix.entries()) if e): v for v in CANONICAL_MATRICES.values()
+}
 
 
 # ---------------------------------------------------------------------------
@@ -207,17 +211,11 @@ class _RegionRow(NamedTuple):
 
 
 def _region_row(region: ElementaryRegion) -> _RegionRow:
-    point = normalize_cube(region.representative()).triple()
-    i_max, i_mid, i_min = sorted(range(3), key=lambda k: abs(point[k]), reverse=True)
-    s_max, s_mid = (1 if point[k] > 0 else -1 for k in (i_max, i_mid))
-
-    def vertex(mid: int, low: int) -> CanonicalMatrix:
-        direction = [0, 0, 0]
-        direction[i_max], direction[i_mid], direction[i_min] = s_max, mid, low
-        return CANONICAL_MATRICES[tuple(direction)]
-
-    vertices = (vertex(0, 0), vertex(s_mid, -1), vertex(s_mid, 1))
-    to_plane = _CELLS[_cell(*point, 1)][1]
+    """The region's vertices (see ``region_vertices``) and their triangle."""
+    top1, top2, top3 = (_VERTEX_ON[frozenset(region.ordering[:k])] for k in (1, 2, 3))
+    vertices = (top2, *sorted((top1, top3), key=lambda v: sum(v.direction)))
+    s = [sum(x) for x in zip(*(v.direction for v in vertices))]  # a point inside the open cone
+    to_plane = _CELLS[_cell(*s, max(map(abs, s)))][1]
     triangle = tuple(to_plane(*(Fraction(x) for x in v.direction), 1) for v in vertices)
     return _RegionRow(vertices, triangle)
 
@@ -259,9 +257,9 @@ def region_of(P: PayoffMatrix) -> ElementaryRegion:
 def region_vertices(region: ElementaryRegion) -> tuple:
     """The triangle's canonical matrices: (axis, corner_minus, corner_plus).
 
-    The axis vertex is the face center of the region's cube face; the two
-    corners share the face and the second coordinate's sign, and differ in
-    the sign of the smallest coordinate (minus first, plus second).
+    They are the vertices on the ordering's prefix sets: the axis on its top
+    two labels, the corners on its top one and top three, which differ in the
+    sign of one coordinate (minus first, plus second).
     """
     return _ROWS[region.id].vertices
 

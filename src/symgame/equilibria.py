@@ -16,7 +16,6 @@ from typing import FrozenSet, Optional, Tuple
 from .payoff import POSITIONS, PayoffMatrix, Position, Rational, _as_fraction
 
 __all__ = [
-    "is_pure_ne",
     "pure_nash_set",
     "relaxed_po_set",
     "mixed_nash",
@@ -36,11 +35,6 @@ def _ne_set(a, b, c, d) -> PositionSet:
     # a >= c, (1, 1) when d >= b, and (0, 1) and (1, 0) when c >= a and b >= d.
     off_diagonal = ((0, 1), (1, 0)) if c >= a and b >= d else ()
     return frozenset(((0, 0),) * (a >= c) + off_diagonal + ((1, 1),) * (d >= b))
-
-
-def is_pure_ne(P: PayoffMatrix, pos: Position) -> bool:
-    """True when neither player can gain by a unilateral switch (ties count)."""
-    return pos in pure_nash_set(P)
 
 
 def pure_nash_set(P: PayoffMatrix) -> PositionSet:

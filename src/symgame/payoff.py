@@ -27,13 +27,10 @@ from typing import Iterable, Sequence, Union
 __all__ = [
     "PayoffMatrix",
     "GVector",
-    "Direction",
     "CubePoint",
     "TrivialGame",
     "g_transform",
     "inverse_g_transform",
-    "center",
-    "normalize_sphere",
     "normalize_cube",
     "transpose_game",
     "parse_matrix",
@@ -191,23 +188,6 @@ class GVector:
 
 
 @dataclass(frozen=True)
-class Direction:
-    """Unit vector in (ga, gb, gab) space, Euclidean norm 1 within 1e-12."""
-
-    ga: float
-    gb: float
-    gab: float
-
-    def __post_init__(self) -> None:
-        norm = math.sqrt(self.ga ** 2 + self.gb ** 2 + self.gab ** 2)
-        if not abs(norm - 1.0) <= 1e-12:  # NaN fails this
-            raise ValueError(f"direction norm {norm!r} is not 1")
-
-    def triple(self) -> tuple[float, float, float]:
-        return (self.ga, self.gb, self.gab)
-
-
-@dataclass(frozen=True)
 class CubePoint:
     """Exact point on the surface of the unit cube in (ga, gb, gab) space.
 
@@ -252,24 +232,6 @@ def g_transform(P: PayoffMatrix) -> GVector:
 def inverse_g_transform(G: GVector) -> PayoffMatrix:
     """Reconstruct the payoff matrix from effect coordinates (exact inverse)."""
     return PayoffMatrix(*(s / 2 for s in _signed_sums(G.g0, G.ga, G.gb, G.gab)))
-
-
-def center(P: PayoffMatrix) -> PayoffMatrix:
-    """Subtract the mean payoff, leaving a matrix with g0 = 0."""
-    mean = sum(P.entries()) / 4
-    return P - PayoffMatrix.constant(mean)
-
-
-def normalize_sphere(P: PayoffMatrix) -> Direction:
-    """Project (ga, gb, gab) onto the unit sphere (floating point).
-
-    Raises TrivialGame for constant matrices, which have no direction.
-    """
-    # The cube point has max-abs coordinate 1, so its norm lies in [1, sqrt(3)]
-    # for any payoff magnitude: squaring neither overflows nor underflows.
-    x, y, z = (float(v) for v in normalize_cube(P).triple())
-    norm = math.sqrt(x * x + y * y + z * z)
-    return Direction(x / norm, y / norm, z / norm)
 
 
 def _cube_ints(a: int, b: int, c: int, d: int) -> tuple:

@@ -36,7 +36,6 @@ __all__ = [
     "GameClassRecord",
     "PoStatus",
     "census",
-    "class_table",
     "classify",
     "enumerate_ordinal_games",
     "region_class_index",
@@ -209,11 +208,6 @@ def classify(P: PayoffMatrix) -> Classification:
         mixed_po=mixed_po(P),
         comparison_values=_comparison_values(P, row, ne_set, po_set, mixed_ne),
     )
-
-
-def class_table() -> tuple:
-    """The nine taxonomy rows, in table order."""
-    return CLASS_TABLE
 
 
 def enumerate_ordinal_games() -> tuple:

@@ -36,6 +36,7 @@ from symgame.payoff import (
     TrivialGame,
     g_transform,
     inverse_g_transform,
+    normalize_cube,
 )
 
 from test_payoff import random_matrix
@@ -186,6 +187,31 @@ def test_region_vertices_bound_their_region() -> None:
             assert all(entries[label] == Fraction(6, k) for label in o[:k])
             top_counts.add(k)
         assert top_counts == {1, 2, 3}
+
+
+def test_region_rows_match_the_cube_point_rule() -> None:
+    """Oracle: each row as read off its representative's cube point, not its ordering.
+
+    The axis vertex lies along the point's largest coordinate, the two corners
+    share its sign and the middle coordinate's sign, and differ in the smallest
+    (minus first); the triangle is drawn in the point's own cell.
+    """
+    for region in REGIONS:
+        point = normalize_cube(region.representative()).triple()
+        i_max, i_mid, i_min = sorted(range(3), key=lambda k: abs(point[k]), reverse=True)
+        s_max, s_mid = (1 if point[k] > 0 else -1 for k in (i_max, i_mid))
+
+        def vertex(mid: int, low: int):
+            direction = [0, 0, 0]
+            direction[i_max], direction[i_mid], direction[i_min] = s_max, mid, low
+            return CANONICAL_MATRICES[tuple(direction)]
+
+        vertices = (vertex(0, 0), vertex(s_mid, -1), vertex(s_mid, 1))
+        to_plane = cartography._CELLS[cartography._cell(*point, 1)][1]
+        triangle = tuple(to_plane(*(Fraction(x) for x in v.direction), 1) for v in vertices)
+        row = cartography._ROWS[region.id]
+        assert len(row.vertices) == 3 and all(x is y for x, y in zip(row.vertices, vertices))
+        assert row.triangle == triangle
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,6 @@ import pytest
 
 from symgame.equilibria import (
     expected_payoff,
-    is_pure_ne,
     mixed_nash,
     mixed_po,
     pure_nash_set,
@@ -26,20 +25,12 @@ DEADLOCK = PayoffMatrix(3, 4, 1, 2)
 COORDINATION = PayoffMatrix(4, 1, 2, 3)
 
 
-def test_is_pure_ne_examples() -> None:
-    assert is_pure_ne(PD, (1, 1))
-    assert not is_pure_ne(PD, (0, 0))
-    assert is_pure_ne(COORDINATION, (0, 0))
-    assert is_pure_ne(COORDINATION, (1, 1))
-    constant = PayoffMatrix.constant(7)
-    assert all(is_pure_ne(constant, pos) for pos in ((0, 0), (0, 1), (1, 0), (1, 1)))
-
-
 def test_pure_nash_sets() -> None:
     assert pure_nash_set(CHICKEN) == {(0, 1), (1, 0)}
     assert pure_nash_set(DEADLOCK) == {(0, 0)}
     assert pure_nash_set(PD) == {(1, 1)}
     assert pure_nash_set(COORDINATION) == {(0, 0), (1, 1)}
+    assert pure_nash_set(PayoffMatrix.constant(7)) == {(0, 0), (0, 1), (1, 0), (1, 1)}
 
 
 def test_relaxed_po_sets() -> None:

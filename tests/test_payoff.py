@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 import random
 import re
 from fractions import Fraction
@@ -12,19 +11,16 @@ from hypothesis import example, given, strategies as st
 
 from symgame.payoff import (
     CubePoint,
-    Direction,
     GVector,
     PayoffMatrix,
     TrivialGame,
     _as_fraction,
     _quote,
-    center,
     g_transform,
     inverse_g_transform,
     matrices_from_lines,
     matrix_from_json,
     normalize_cube,
-    normalize_sphere,
     parse_matrix,
     transpose_game,
 )
@@ -121,51 +117,6 @@ def test_pairwise_difference_identities() -> None:
         assert G.gb - G.gab == c - d
         assert G.ga + G.gb == a - d
         assert G.ga - G.gb == b - c
-
-
-def test_center_zeroes_the_level() -> None:
-    P = PayoffMatrix(9, 15, 5, 7)
-    C = center(P)
-    assert g_transform(C).g0 == 0
-    assert g_transform(C).triple() == g_transform(P).triple()
-    assert (P - C).is_constant()
-
-
-def test_normalize_sphere() -> None:
-    n = normalize_sphere(PayoffMatrix(9, 15, 5, 7))
-    ga, gb, gab = n.triple()
-    assert abs(ga * ga + gb * gb + gab * gab - 1.0) < 1e-12
-    # Proportional to (6, -4, -2).
-    assert ga > 0 and gb < 0 and gab < 0
-    assert abs(ga / gab - (-3.0)) < 1e-12
-    with pytest.raises(TrivialGame):
-        normalize_sphere(PayoffMatrix.constant(2))
-
-
-@pytest.mark.parametrize(
-    "entries",
-    [("1e300", 0, 0, 0), ("1e-300", 0, 0, 0), ("987654321987654321/3", "-1e300", "1/999983", "-7/1000000007")],
-    ids=["huge", "tiny", "large-p/q"],
-)
-def test_normalize_sphere_at_extreme_magnitudes(entries) -> None:
-    """Squares of the raw g-triple overflow or underflow; the unit vector must not."""
-    P = PayoffMatrix(*entries)
-    n = normalize_sphere(P)
-    assert abs(math.hypot(*n.triple()) - 1.0) < 1e-12
-
-    def signs(xs):
-        return [(x > 0) - (x < 0) for x in xs]
-
-    assert signs(n.triple()) == signs(g_transform(P).triple())
-
-
-@pytest.mark.parametrize("component", range(3), ids=["ga", "gb", "gab"])
-def test_direction_rejects_nan(component) -> None:
-    """A NaN norm compares False both ways, so it must not pass as 1."""
-    triple = [0.0, 0.0, 1.0]
-    triple[component] = math.nan
-    with pytest.raises(ValueError, match="norm"):
-        Direction(*triple)
 
 
 def test_normalize_cube_is_exact() -> None:

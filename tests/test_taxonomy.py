@@ -18,7 +18,6 @@ from symgame.taxonomy import (
     PoStatus,
     REGION_ROW,
     census,
-    class_table,
     classify,
     enumerate_ordinal_games,
     region_class_index,
@@ -35,7 +34,6 @@ NON_DIAGONAL = {(0, 1), (1, 0)}
 
 
 def test_table_shape_and_measures() -> None:
-    assert class_table() is CLASS_TABLE
     assert len(CLASS_TABLE) == 9
     counts = tuple(row.triangle_count for row in CLASS_TABLE)
     assert counts == (4, 2, 2, 3, 1, 6, 1, 1, 4)
