@@ -17,10 +17,10 @@ over the three vertices of its triangle, with nonnegative weights summing
 to 1.  Projecting to the unit cube (max-abs normalization) and unfolding the
 cube into a cross yields planar map coordinates for plotting.
 
-Region facts live in ``_ROWS``, one row per region id built at import: the
-vertex triple and the triangle's corners on the unfolded cross.  The 6-bit
-sign code of (a-c, b-d, a-b, c-d, a-d, b-c) maps to the id through
-``_REGION_ID_BY_CODE``; the code comes from six exact comparisons in
+Each record in ``REGIONS``, built at import and indexed by region id, holds
+its ordering, its vertex triple and the triangle's corners on the unfolded
+cross.  The 6-bit sign code of (a-c, b-d, a-b, c-d, a-d, b-c) maps to the id
+through ``_REGION_ID_BY_CODE``; the code comes from six exact comparisons in
 ``_region_id`` and from the sampled columns in the Monte Carlo sampler.  Class
 rows are ``taxonomy.REGION_ROW``.
 """
@@ -33,7 +33,7 @@ import os
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -63,7 +63,6 @@ __all__ = [
     "mc_region_fractions",
     "reconstruct",
     "region_of",
-    "region_vertices",
     "trajectory",
     "unfold",
 ]
@@ -96,11 +95,20 @@ class BoundaryGame(ValueError):
 
 @dataclass(frozen=True)
 class ElementaryRegion:
-    """One of the 24 open spherical triangles, named by its entry ordering."""
+    """One of the 24 open spherical triangles, named by its entry ordering.
+
+    ``vertices`` are the canonical matrices on the ordering's prefix sets: the
+    axis on its top two labels, then the corners on its top one and top three,
+    which differ in the sign of one coordinate (minus first, plus second).
+    ``triangle`` holds their map (u, v), drawn in the region's own unfolded
+    cell, so cells that share a cut edge each keep their copy of it.
+    """
 
     id: int
     ordering: tuple  # labels largest-to-smallest, e.g. ('c','a','d','b')
     sign_vector: tuple  # signs of (a-c, b-d, a-b, c-d, a-d, b-c)
+    vertices: tuple  # (axis, corner_minus, corner_plus) CanonicalMatrix
+    triangle: tuple  # map (u, v) of the vertices, in order
 
     @property
     def ordering_text(self) -> str:
@@ -115,12 +123,6 @@ class ElementaryRegion:
 def _sign_code(ac, bd, ab, cd, ad, bc):
     """Pack the tests x > y over ``_PAIRS`` (bools or bool arrays) into 6 bits."""
     return ac + 2 * bd + 4 * ab + 8 * cd + 16 * ad + 32 * bc
-
-
-REGIONS = tuple(
-    ElementaryRegion(idx, o, tuple(1 if o.index(x) < o.index(y) else -1 for x, y in _PAIRS))
-    for idx, o in enumerate(ALL_ORDERINGS)
-)
 
 
 # ---------------------------------------------------------------------------
@@ -205,22 +207,18 @@ def _cell(ga, gb, gab, m) -> int:
 # The region table
 
 
-class _RegionRow(NamedTuple):
-    vertices: tuple  # (axis, corner_minus, corner_plus) CanonicalMatrix
-    triangle: tuple  # map (u, v) of the vertices, drawn in the region's cell
-
-
-def _region_row(region: ElementaryRegion) -> _RegionRow:
-    """The region's vertices (see ``region_vertices``) and their triangle."""
-    top1, top2, top3 = (_VERTEX_ON[frozenset(region.ordering[:k])] for k in (1, 2, 3))
+def _region(idx: int, ordering: tuple) -> ElementaryRegion:
+    """The region of ``ordering``: its signs, its vertices on its prefix sets and their triangle."""
+    signs = tuple(1 if ordering.index(x) < ordering.index(y) else -1 for x, y in _PAIRS)
+    top1, top2, top3 = (_VERTEX_ON[frozenset(ordering[:k])] for k in (1, 2, 3))
     vertices = (top2, *sorted((top1, top3), key=lambda v: sum(v.direction)))
     s = [sum(x) for x in zip(*(v.direction for v in vertices))]  # a point inside the open cone
     to_plane = _CELLS[_cell(*s, max(map(abs, s)))][1]
     triangle = tuple(to_plane(*(Fraction(x) for x in v.direction), 1) for v in vertices)
-    return _RegionRow(vertices, triangle)
+    return ElementaryRegion(idx, ordering, signs, vertices, triangle)
 
 
-_ROWS = tuple(_region_row(region) for region in REGIONS)  # indexed by region id
+REGIONS = tuple(_region(idx, o) for idx, o in enumerate(ALL_ORDERINGS))
 # 6-bit sign code -> region id; the other 40 codes belong to no strict ordering.
 _REGION_ID_BY_CODE = {_sign_code(*(s > 0 for s in r.sign_vector)): r.id for r in REGIONS}
 
@@ -254,16 +252,6 @@ def region_of(P: PayoffMatrix) -> ElementaryRegion:
     return REGIONS[region_id]
 
 
-def region_vertices(region: ElementaryRegion) -> tuple:
-    """The triangle's canonical matrices: (axis, corner_minus, corner_plus).
-
-    They are the vertices on the ordering's prefix sets: the axis on its top
-    two labels, the corners on its top one and top three, which differ in the
-    sign of one coordinate (minus first, plus second).
-    """
-    return _ROWS[region.id].vertices
-
-
 # ---------------------------------------------------------------------------
 # Exact convex decomposition
 
@@ -293,7 +281,7 @@ def decompose(P: PayoffMatrix) -> Decomposition:
         region = region_of(P)
     except BoundaryGame as exc:
         region = REGIONS[min(exc.adjacent_region_ids)]
-    axis, corner_minus, corner_plus = _ROWS[region.id].vertices
+    axis, corner_minus, corner_plus = region.vertices
     ordered = (corner_minus, corner_plus, axis)
     q, *entries = P._scaled
     s = sorted(entries, reverse=True)
@@ -343,15 +331,6 @@ def map_point(P: PayoffMatrix) -> MapPoint:
     return _unfold(*_cube_ints(*P._scaled[1:]))
 
 
-def region_triangle(region: ElementaryRegion) -> tuple:
-    """Map coordinates of the region's cell corners (axis, corner-, corner+).
-
-    Each region is drawn inside its own unfolded cell, so cells that share a
-    cut edge each keep their copy of it.
-    """
-    return _ROWS[region.id].triangle
-
-
 # ---------------------------------------------------------------------------
 # Trajectories
 
@@ -374,7 +353,7 @@ def trajectory(P0: PayoffMatrix, P1: PayoffMatrix, n: int) -> tuple:
     Samples that land on a region boundary are flagged rather than fatal;
     constant-matrix samples additionally lack a map point.
     """
-    from .taxonomy import CLASS_TABLE, region_class_index  # deferred: taxonomy imports this
+    from .taxonomy import CLASS_TABLE, REGION_ROW  # deferred: taxonomy imports this
 
     if n < 2:
         raise ValueError("a trajectory needs at least two samples")
@@ -390,7 +369,7 @@ def trajectory(P0: PayoffMatrix, P1: PayoffMatrix, n: int) -> tuple:
         except TrivialGame:
             point, trivial = None, True
         region_id = _region_id(*x)
-        game_class = None if region_id is None else CLASS_TABLE[region_class_index(region_id)]
+        game_class = None if region_id is None else CLASS_TABLE[REGION_ROW[region_id]]
         boundary = region_id is None and not trivial
         M = PayoffMatrix(*(Fraction(xi, den) for xi in x))
         samples.append(TrajectorySample(Fraction(k, n - 1), M, point, game_class, boundary, trivial))
@@ -466,7 +445,7 @@ def mc_region_fractions(n_samples: int, seed: int, n_workers: int = 1) -> MCRegi
     ``n_workers`` streams derived from (seed, worker index), so results are
     reproducible for a fixed seed and worker count, on any number of threads.
     """
-    from .taxonomy import region_class_index
+    from .taxonomy import REGION_ROW
 
     if n_samples < 1:
         raise ValueError("need at least one sample")
@@ -493,7 +472,7 @@ def mc_region_fractions(n_samples: int, seed: int, n_workers: int = 1) -> MCRegi
     for code in np.flatnonzero(code_counts):
         region_id = _REGION_ID_BY_CODE[code]  # KeyError: a code no strict ordering has
         region_counts[region_id] = count = int(code_counts[code])
-        class_counts[region_class_index(region_id)] += count
+        class_counts[REGION_ROW[region_id]] += count
     return MCRegionReport(
         n_samples=n_samples,
         seed=seed,

@@ -49,7 +49,7 @@ from .payoff import (
     parse_matrix,
 )
 from .svgmap import render_map
-from .taxonomy import CLASS_TABLE, census, classify, region_class_index
+from .taxonomy import CLASS_TABLE, REGION_ROW, census, classify
 
 # Upper bounds on the sample counts and streams a command line may ask for.
 _MAX_SAMPLES = 10 ** 9
@@ -152,7 +152,7 @@ def build_report(P: PayoffMatrix) -> dict:
         report["region"] = {"id": cls.region.id, "ordering": cls.region.ordering_text}
         row = cls.game_class
         report["game_class"] = {
-            "index": region_class_index(cls.region.id),
+            "index": REGION_ROW[cls.region.id],
             "display_name": row.display_name,
             "category": row.category.value,
             "po_status": row.po_status.value,
@@ -337,7 +337,7 @@ def _fractions_doc(report) -> dict:
         {
             "id": region.id,
             "ordering": region.ordering_text,
-            "class_index": region_class_index(region.id),
+            "class_index": REGION_ROW[region.id],
             **_estimate_doc(Fraction(1, 24), region_fractions[region.id], region_errors[region.id]),
         }
         for region in REGIONS

@@ -11,8 +11,8 @@ from __future__ import annotations
 import functools
 from typing import Optional, Sequence, Tuple
 
-from .cartography import MapPoint, REGIONS, region_triangle, region_vertices
-from .taxonomy import CLASS_TABLE, region_class_index
+from .cartography import MapPoint, REGIONS
+from .taxonomy import CLASS_TABLE, REGION_ROW
 
 __all__ = [
     "render_map",
@@ -56,9 +56,8 @@ def _region_elements() -> tuple:
     parts = []
     labels = {}
     for region in REGIONS:
-        k = region_class_index(region.id)
-        triangle = region_triangle(region)
-        points = " ".join(_xy(u, v) for u, v in triangle)
+        k = REGION_ROW[region.id]
+        points = " ".join(_xy(u, v) for u, v in region.triangle)
         name = CLASS_TABLE[k].display_name
         parts.append(
             f'  <polygon points="{points}" fill="{CLASS_COLORS[k]}" '
@@ -66,7 +65,7 @@ def _region_elements() -> tuple:
             f"<title>region {region.id}: {region.ordering_text} ({name})</title>"
             f"</polygon>"
         )
-        for vertex, position in zip(region_vertices(region), triangle):
+        for vertex, position in zip(region.vertices, region.triangle):
             labels.setdefault(position, vertex.matrix)
     for (u, v), matrix in sorted(labels.items()):
         rows = matrix.rows()

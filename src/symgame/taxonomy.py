@@ -35,10 +35,10 @@ __all__ = [
     "Comparison",
     "GameClassRecord",
     "PoStatus",
+    "REGION_ROW",
     "census",
     "classify",
     "enumerate_ordinal_games",
-    "region_class_index",
 ]
 
 
@@ -146,12 +146,8 @@ CLASS_TABLE = tuple(
     for cat, po, cmp_, count, name, example, _ in _ROW_SPECS
 )
 
+#: Region id -> its row index (0..8) in ``CLASS_TABLE``.
 REGION_ROW = {r.id: k for r in REGIONS for k, row in enumerate(_ROW_SPECS) if r.ordering_text in row[6]}
-
-
-def region_class_index(region_id: int) -> int:
-    """Row index (0..8) of a region in the class table."""
-    return REGION_ROW[region_id]
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 import threading
 import tracemalloc
@@ -24,8 +25,6 @@ from symgame.cartography import (
     mc_region_fractions,
     reconstruct,
     region_of,
-    region_triangle,
-    region_vertices,
     trajectory,
     unfold,
 )
@@ -165,7 +164,7 @@ def test_canonical_matrix_frozen_examples() -> None:
 
 def test_region_vertices_bound_their_region() -> None:
     for region in REGIONS:
-        axis, corner_minus, corner_plus = region_vertices(region)
+        axis, corner_minus, corner_plus = region.vertices
         assert axis.direction.count(0) == 2
         assert corner_minus.direction.count(0) == 0
         diff = [
@@ -190,8 +189,9 @@ def test_region_vertices_bound_their_region() -> None:
 
 
 def test_region_rows_match_the_cube_point_rule() -> None:
-    """Oracle: each row as read off its representative's cube point, not its ordering.
+    """Oracle: each region's vertices and triangle, read off its representative's cube point.
 
+    The rule does not look at the ordering, as ``cartography._region`` does.
     The axis vertex lies along the point's largest coordinate, the two corners
     share its sign and the middle coordinate's sign, and differ in the smallest
     (minus first); the triangle is drawn in the point's own cell.
@@ -209,9 +209,8 @@ def test_region_rows_match_the_cube_point_rule() -> None:
         vertices = (vertex(0, 0), vertex(s_mid, -1), vertex(s_mid, 1))
         to_plane = cartography._CELLS[cartography._cell(*point, 1)][1]
         triangle = tuple(to_plane(*(Fraction(x) for x in v.direction), 1) for v in vertices)
-        row = cartography._ROWS[region.id]
-        assert len(row.vertices) == 3 and all(x is y for x, y in zip(row.vertices, vertices))
-        assert row.triangle == triangle
+        assert len(region.vertices) == 3 and all(x is y for x, y in zip(region.vertices, vertices))
+        assert region.triangle == triangle
 
 
 # ---------------------------------------------------------------------------
@@ -444,7 +443,7 @@ def _orientation(p, q, r) -> Fraction:
 def test_region_triangles_tile_the_cross() -> None:
     total = Fraction(0)
     for region in REGIONS:
-        p, q, r = region_triangle(region)
+        p, q, r = region.triangle
         area = abs(_orientation(p, q, r)) / 2
         assert area == 1
         total += area
@@ -456,7 +455,7 @@ def test_region_triangles_tile_the_cross() -> None:
 def test_region_triangle_contains_its_representatives_point() -> None:
     for region in REGIONS:
         pt = map_point(region.representative())
-        p, q, r = region_triangle(region)
+        p, q, r = region.triangle
         s = 1 if _orientation(p, q, r) > 0 else -1
         # Strict interior: all three edge orientations agree.
         assert s * _orientation(p, q, (pt.u, pt.v)) > 0
@@ -470,7 +469,7 @@ def test_random_games_map_into_their_region_triangle(P: PayoffMatrix) -> None:
     assume(len(set(P.entries())) == 4)
     region = region_of(P)
     pt = map_point(P)
-    p, q, r = region_triangle(region)
+    p, q, r = region.triangle
     s = 1 if _orientation(p, q, r) > 0 else -1
     assert s * _orientation(p, q, (pt.u, pt.v)) > 0
     assert s * _orientation(q, r, (pt.u, pt.v)) > 0
@@ -565,13 +564,27 @@ def test_mc_counts_are_consistent() -> None:
     report = mc_region_fractions(30_000, seed=11, n_workers=2)
     assert sum(report.region_counts) == 30_000
     assert sum(report.class_counts) == 30_000
-    from symgame.taxonomy import region_class_index
+    from symgame.taxonomy import REGION_ROW
 
     rolled = [0] * 9
     for region_id, count in enumerate(report.region_counts):
-        rolled[region_class_index(region_id)] += count
+        rolled[REGION_ROW[region_id]] += count
     assert tuple(rolled) == report.class_counts
     assert all(se > 0 for se in report.region_std_errors())
+
+
+def test_mc_std_errors_are_binomial() -> None:
+    report = mc_region_fractions(5_000, seed=23, n_workers=2)
+    n = report.n_samples
+    for counts, errors in (
+        (report.region_counts, report.region_std_errors()),
+        (report.class_counts, report.class_std_errors()),
+    ):
+        assert len(errors) == len(counts)
+        for count, se in zip(counts, errors):
+            p = count / n
+            assert 0 < p < 1
+            assert se == pytest.approx(math.sqrt(p * (1 - p) / n), rel=1e-12)
 
 
 def test_mc_statistical_sanity() -> None:

@@ -34,7 +34,7 @@ from symgame.payoff import (
     normalize_cube,
 )
 from symgame.svgmap import _far, _fmt, _marker_elements
-from symgame.taxonomy import CLASS_TABLE, region_class_index
+from symgame.taxonomy import CLASS_TABLE, REGION_ROW
 
 _entries = st.one_of(
     st.integers(-10**6, 10**6).map(Fraction),
@@ -171,7 +171,7 @@ def test_trajectory_samples_match_the_fraction_interpolation(P0, P1, n) -> None:
         M = (1 - t) * P0 + t * P1
         trivial = M.is_constant()
         try:
-            game_class = None if trivial else CLASS_TABLE[region_class_index(region_of(M).id)]
+            game_class = None if trivial else CLASS_TABLE[REGION_ROW[region_of(M).id]]
         except BoundaryGame:
             game_class = None
         assert (sample.t, sample.matrix, sample.trivial) == (t, M, trivial)

@@ -20,7 +20,6 @@ from symgame.taxonomy import (
     census,
     classify,
     enumerate_ordinal_games,
-    region_class_index,
 )
 
 from test_payoff import random_matrix
@@ -69,8 +68,6 @@ def test_region_row_partitions_all_regions() -> None:
     for row_index in REGION_ROW.values():
         sizes[row_index] += 1
     assert sizes == [row.triangle_count for row in CLASS_TABLE]
-    for region in REGIONS:
-        assert region_class_index(region.id) == REGION_ROW[region.id]
 
 
 def test_row_labels_match_equilibrium_structure() -> None:
@@ -78,7 +75,7 @@ def test_row_labels_match_equilibrium_structure() -> None:
     # member game; check every region through its representative.
     for region in REGIONS:
         P = region.representative()
-        row = CLASS_TABLE[region_class_index(region.id)]
+        row = CLASS_TABLE[REGION_ROW[region.id]]
         ne = pure_nash_set(P)
         po = relaxed_po_set(P)
         if ne == DIAGONAL:
