@@ -478,8 +478,11 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        if sys.stdout is None and getattr(args, "out", None) in (None, "-"):
+            raise OSError("stdout is closed")  # fd 1 was closed at start-up
         code = args.func(args)
-        sys.stdout.flush()  # a closed pipe shows here, not at exit
+        if sys.stdout is not None:
+            sys.stdout.flush()  # a closed pipe shows here, not at exit
         return code
     except BrokenPipeError:
         return 141  # 128 + SIGPIPE, silent as for any program killed by it

@@ -2,8 +2,8 @@
 
 A game's class is a pure function of its elementary region: the category
 (where the pure equilibria sit) and the optimality status are sign patterns,
-and each of the 24 regions is assigned one of nine table rows below.  The
-table also fixes each row's share of the sphere (triangle_count / 24).
+and each of the 24 regions is listed by its ordering under one of nine rows
+below.  A row states its triangle count; its share, ``fraction``, is count / 24.
 
 Alongside the frozen row assignment, ``classify`` reports the computed
 payoff comparison for the rows that have one, as a pair of exact values:
@@ -70,84 +70,75 @@ class Comparison(Enum):
 
 @dataclass(frozen=True)
 class GameClassRecord:
-    """One taxonomy row: structure labels, measure, and a member example."""
+    """One taxonomy row: labels, triangle count, an example and its member orderings."""
 
     category: Category
     po_status: PoStatus
     payoff_comparison: Comparison
-    fraction: Fraction
     triangle_count: int
     display_name: str
     example: PayoffMatrix
+    orderings: Tuple[str, ...]
+
+    @property
+    def fraction(self) -> Fraction:
+        """Share of the sphere, derived: triangle_count / 24."""
+        return Fraction(self.triangle_count, 24)
 
 
-# Rows in table order.  Each entry: (category, po_status, comparison,
-# triangle count, display name, example, member orderings).  The member
-# orderings pin the region-to-row map; the structural labels are rederivable
-# from any member's NE/PO sets and the tests do exactly that.
-_ROW_SPECS = (
-    (
+# Rows in table order.  The member orderings pin the region-to-row map; the
+# structural labels are rederivable from any member's NE/PO sets and the
+# tests do exactly that.
+CLASS_TABLE = (
+    GameClassRecord(
         Category.ONE_DIAGONAL_NE, PoStatus.PO_IS_NE, Comparison.NOT_APPLICABLE,
         4, "Cholesterol: friend or foe", PayoffMatrix(4, 2, 3, 1),
         ("a>b>c>d", "a>c>b>d", "d>c>b>a", "d>b>c>a"),
     ),
-    (
+    GameClassRecord(
         Category.ONE_DIAGONAL_NE, PoStatus.PO_NOT_NE, Comparison.NE_GREATER,
         2, "Deadlock", PayoffMatrix(3, 4, 1, 2),
         ("b>a>d>c", "c>d>a>b"),
     ),
-    (
+    GameClassRecord(
         Category.ONE_DIAGONAL_NE, PoStatus.PO_NOT_NE, Comparison.NE_LESS,
         2, "Prisoner's Dilemma", PayoffMatrix(3, 1, 4, 2),
         ("b>d>a>c", "c>a>d>b"),
     ),
-    (
+    GameClassRecord(
         Category.ONE_DIAGONAL_NE, PoStatus.TWO_PO, Comparison.NE_GREATER,
         3, "Two PO, NE payoff greater", PayoffMatrix(4, 5, 2, 1),
         ("a>b>d>c", "d>c>a>b", "b>a>c>d"),
     ),
-    (
+    GameClassRecord(
         Category.ONE_DIAGONAL_NE, PoStatus.TWO_PO, Comparison.NE_LESS,
         1, "Two PO, NE payoff lower", PayoffMatrix(1, 2, 5, 3),
         ("c>d>b>a",),
     ),
-    (
+    GameClassRecord(
         Category.TWO_DIAGONAL_NE, PoStatus.BOTH_NE_PO, Comparison.NOT_APPLICABLE,
         6, "Pareto Coordination", PayoffMatrix(4, 1, 2, 3),
         ("a>c>d>b", "a>d>c>b", "a>d>b>c", "d>a>c>b", "d>a>b>c", "d>b>a>c"),
     ),
-    (
+    GameClassRecord(
         Category.TWO_NON_DIAGONAL_NE, PoStatus.ONE_PO, Comparison.NE_GREATER,
         1, "One PO, NE payoff greater", PayoffMatrix(1, 5, 2, 3),
         ("b>d>c>a",),
     ),
-    (
+    GameClassRecord(
         Category.TWO_NON_DIAGONAL_NE, PoStatus.ONE_PO, Comparison.NE_LESS,
         1, "Chicken", PayoffMatrix(4, 2, 5, 1),
         ("c>a>b>d",),
     ),
-    (
+    GameClassRecord(
         Category.TWO_NON_DIAGONAL_NE, PoStatus.TWO_PO, Comparison.NOT_APPLICABLE,
         4, "Two non-diagonal PO", PayoffMatrix(2, 3, 4, 1),
         ("c>b>a>d", "c>b>d>a", "b>c>a>d", "b>c>d>a"),
     ),
 )
 
-CLASS_TABLE = tuple(
-    GameClassRecord(
-        category=cat,
-        po_status=po,
-        payoff_comparison=cmp_,
-        fraction=Fraction(count, 24),
-        triangle_count=count,
-        display_name=name,
-        example=example,
-    )
-    for cat, po, cmp_, count, name, example, _ in _ROW_SPECS
-)
-
 #: Region id -> its row index (0..8) in ``CLASS_TABLE``.
-REGION_ROW = {r.id: k for r in REGIONS for k, row in enumerate(_ROW_SPECS) if r.ordering_text in row[6]}
+REGION_ROW = {r.id: k for r in REGIONS for k, row in enumerate(CLASS_TABLE) if r.ordering_text in row.orderings}
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,7 @@ import csv
 import io
 import json
 import os
+import shlex
 import shutil
 import signal
 import subprocess
@@ -558,6 +559,40 @@ def test_closed_stdout_pipe_exits_141_silently(tmp_path, command) -> None:
     finally:
         os.close(write_end)
     assert (result.returncode, result.stderr) == (141, b"")
+
+
+@pytest.mark.parametrize(
+    "argv", [["census"], ["fractions", "--samples", "10"], ["classify", "3,1;4,2"], ["map", "--out", "-"]],
+)
+def test_closed_stdout_at_start_up_exits_2_with_one_line(capsys, monkeypatch, argv) -> None:
+    """With fd 1 closed, CPython sets sys.stdout to None: a stdout run exits 2 with one line."""
+    monkeypatch.setattr(sys, "stdout", None)
+    code = main(argv)
+    assert (code, capsys.readouterr().err) == (2, "error: stdout is closed\n")
+
+
+def test_closed_stdout_does_not_stop_a_run_with_out(capsys, monkeypatch, tmp_path) -> None:
+    target = tmp_path / "map.svg"
+    monkeypatch.setattr(sys, "stdout", None)
+    code = main(["map", "--out", str(target)])
+    assert (code, capsys.readouterr().err) == (0, "")
+    assert ET.parse(target).getroot().tag == "{http://www.w3.org/2000/svg}svg"
+
+
+@pytest.mark.parametrize("command, expected", [("census", 2), ("map", 0)])
+def test_python_m_with_fd_1_closed(tmp_path, command, expected) -> None:
+    """The console entry point, run as ``python -m symgame ... >&-``."""
+    target = tmp_path / "map.svg"
+    argv = ["census"] if command == "census" else ["map", "--out", str(target)]
+    result = subprocess.run(
+        shlex.join([sys.executable, "-m", "symgame", *argv]) + " >&-", shell=True,
+        stderr=subprocess.PIPE, text=True, env=_cli_env(), timeout=60, check=False,
+    )
+    if expected == 0:
+        assert (result.returncode, result.stderr) == (0, "")
+        assert ET.parse(target).getroot().tag == "{http://www.w3.org/2000/svg}svg"
+    else:
+        assert (result.returncode, result.stderr) == (2, "error: stdout is closed\n")
 
 
 # ---------------------------------------------------------------------------

@@ -40,6 +40,8 @@ def test_table_shape_and_measures() -> None:
     for row in CLASS_TABLE:
         assert row.fraction == Fraction(row.triangle_count, 24)
     assert sum(row.fraction for row in CLASS_TABLE) == 1
+    listed = [text for row in CLASS_TABLE for text in row.orderings]
+    assert sorted(listed) == sorted(region.ordering_text for region in REGIONS)
 
 
 def test_table_display_names() -> None:
