@@ -5,6 +5,10 @@ Matrix arguments accept the text form "a,b;c,d" (row-major) or the JSON form
 a "p/q" string with a decimal duplicate; JSON documents carry a "schema" tag
 matching the schema files shipped under ``symgame/schemas``.
 
+Each command returns its output text and ``main`` writes it once, to stdout or
+``--out``, so a failed run leaves stdout empty.  Error and warning lines go to
+stderr, and are dropped when fd 2 is closed; they never reach stdout.
+
 Exit codes: 0 for success (degenerate inputs are reported, not errors),
 1 for a failed self-test, 2 for parse or usage errors, 130 for an interrupt
 and 141 when the reader of stdout has gone.
@@ -14,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import os
 import sys
@@ -190,48 +195,43 @@ def _format_matrix(matrix_doc: dict) -> str:
     return f"[[{a},{b}],[{c},{d}]]"
 
 
-def _print_report_text(report: dict, out) -> None:
-    g = report["g_vector"]["rational"]
-    print(f"matrix: {_format_matrix(report['matrix'])}", file=out)
-    print("g-vector: " + " ".join(f"{k}={v}" for k, v in g.items()), file=out)
+def _report_text(report: dict) -> str:
+    g = " ".join(f"{k}={v}" for k, v in report["g_vector"]["rational"].items())
+    lines = [f"matrix: {_format_matrix(report['matrix'])}", f"g-vector: {g}"]
     if report["degenerate"] == "trivial":
-        print("degenerate: trivial (constant matrix; no region, map point, or decomposition)", file=out)
+        lines.append("degenerate: trivial (constant matrix; no region, map point, or decomposition)")
     elif report["degenerate"] == "boundary":
         b = report["boundary"]
         ties = ", ".join("=".join(pair) for pair in b["tied_pairs"])
-        print(f"degenerate: boundary (tied entries {ties})", file=out)
-        print("adjacent regions: " + " ".join(str(i) for i in b["adjacent_region_ids"]), file=out)
+        lines.append(f"degenerate: boundary (tied entries {ties})")
+        lines.append("adjacent regions: " + " ".join(str(i) for i in b["adjacent_region_ids"]))
     else:
-        print(f"region: {report['region']['id']} ({report['region']['ordering']})", file=out)
+        lines.append(f"region: {report['region']['id']} ({report['region']['ordering']})")
         gc = report["game_class"]
-        print(
+        lines.append(
             f"class: {gc['display_name']} [{gc['category']} / {gc['po_status']} / "
-            f"{gc['payoff_comparison']}], fraction {gc['fraction']}",
-            file=out,
+            f"{gc['payoff_comparison']}], fraction {gc['fraction']}"
         )
-    print(f"nash equilibria: {_format_positions(report['nash_equilibria'])}", file=out)
-    print(f"relaxed pareto optima: {_format_positions(report['pareto_optima'])}", file=out)
+    lines.append(f"nash equilibria: {_format_positions(report['nash_equilibria'])}")
+    lines.append(f"relaxed pareto optima: {_format_positions(report['pareto_optima'])}")
     for key, label in (("mixed_nash", "mixed nash"), ("mixed_pareto", "mixed pareto")):
         m = report[key]
-        if m is None:
-            print(f"{label}: none", file=out)
-        else:
-            print(f"{label}: p={m['p']} value={m['value']}", file=out)
+        lines.append(f"{label}: none" if m is None else f"{label}: p={m['p']} value={m['value']}")
     if report["comparison"] is not None:
         comp = report["comparison"]
-        print(f"comparison: NE payoff {comp['ne_value']} vs PO payoff {comp['po_value']}", file=out)
+        lines.append(f"comparison: NE payoff {comp['ne_value']} vs PO payoff {comp['po_value']}")
     mp = report["map_point"]
     if mp is not None:
-        print(f"map point: u={mp['u']} v={mp['v']} (face {mp['face']})", file=out)
+        lines.append(f"map point: u={mp['u']} v={mp['v']} (face {mp['face']})")
     dec = report["decomposition"]
     if dec is not None:
         vertices = ", ".join(_format_matrix(v["matrix"]) for v in dec["vertices"])
-        print(
+        lines.append(
             f"decomposition: offset {dec['offset']}, scale {dec['scale']}, "
-            f"weights {', '.join(dec['weights'])} over {vertices}",
-            file=out,
+            f"weights {', '.join(dec['weights'])} over {vertices}"
         )
-        print(f"reconstruction exact: {dec['reconstruction_exact']}", file=out)
+        lines.append(f"reconstruction exact: {dec['reconstruction_exact']}")
+    return "\n".join(lines) + "\n"
 
 
 def _matrix_arg(text: str) -> PayoffMatrix:
@@ -264,27 +264,12 @@ def _parse_trajectory_spec(text: str):
     return start, end, n
 
 
-def _write_output(path: Optional[str], text: str) -> None:
-    if path is None or path == "-":
-        sys.stdout.write(text)
-        return
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise ValueError(f"--out file {_quote(path)}: {exc.strerror}") from exc
-
-
-def _cmd_classify(args) -> int:
+def _cmd_classify(args) -> tuple[str, int]:
     report = build_report(_matrix_arg(args.matrix))
-    if args.json:
-        print(json.dumps(report, indent=2))
-    else:
-        _print_report_text(report, sys.stdout)
-    return 0
+    return (json.dumps(report, indent=2) + "\n" if args.json else _report_text(report)), 0
 
 
-def _cmd_map(args) -> int:
+def _cmd_map(args) -> tuple[str, int]:
     specs = [_parse_trajectory_spec(text) for text in args.trajectory or ()]
     if sum(n for _, _, n in specs) > _MAX_TRAJECTORY_SAMPLES:
         raise ValueError(f"--trajectory sample counts must total at most {_MAX_TRAJECTORY_SAMPLES:,}")
@@ -305,10 +290,9 @@ def _cmd_map(args) -> int:
             try:
                 markers.append((map_point(P), str(P)))
             except TrivialGame:
-                print(f"warning: skipping constant matrix {P} (no map point)", file=sys.stderr)
+                _stderr(f"warning: skipping constant matrix {P} (no map point)")
     trajectories = [[s.point for s in trajectory(*spec)] for spec in specs]
-    _write_output(args.out, render_map(markers=markers, trajectories=trajectories))
-    return 0
+    return render_map(markers=markers, trajectories=trajectories), 0
 
 
 def _estimate_doc(exact: Fraction, estimate: float, std_error: float) -> dict:
@@ -352,7 +336,7 @@ def _fractions_doc(report) -> dict:
     }
 
 
-def _cmd_fractions(args) -> int:
+def _cmd_fractions(args) -> tuple[str, int]:
     if not 1 <= args.samples <= _MAX_SAMPLES:
         raise ValueError(f"--samples must be from 1 to {_MAX_SAMPLES:,}")
     if not 1 <= args.workers <= _MAX_WORKERS:
@@ -362,10 +346,10 @@ def _cmd_fractions(args) -> int:
     report = mc_region_fractions(args.samples, args.seed, args.workers)
     doc = _fractions_doc(report)
     if args.format == "json":
-        print(json.dumps(doc, indent=2))
-        return 0
+        return json.dumps(doc, indent=2) + "\n", 0
     columns = ("estimate", "abs_error", "std_error")
-    writer = csv.writer(sys.stdout, lineterminator="\n")
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["kind", "id", "name", "exact", *columns])
     for kind, rows, key, name in (
         ("class", doc["classes"], "index", "name"),
@@ -374,37 +358,35 @@ def _cmd_fractions(args) -> int:
         for row in rows:
             decimals = (f"{row[c]:.9f}" for c in columns)
             writer.writerow([kind, row[key], row[name], row["exact"], *decimals])
-    return 0
+    return out.getvalue(), 0
 
 
-def _cmd_census(args) -> int:
+def _cmd_census(args) -> tuple[str, int]:
     counts = census()
     ok = True
-    print(f"{'#':>2}  {'class':<28} {'count':>5} {'expect':>6}  {'fraction':>8}  status")
+    lines = [f"{'#':>2}  {'class':<28} {'count':>5} {'expect':>6}  {'fraction':>8}  status"]
     for k, record in enumerate(CLASS_TABLE):
         got = counts[record]
         match = got == record.triangle_count
         ok = ok and match
-        print(
+        lines.append(
             f"{k:>2}  {record.display_name:<28} {got:>5} {record.triangle_count:>6}"
             f"  {str(record.fraction):>8}  {'ok' if match else 'MISMATCH'}"
         )
     total = sum(counts.values())
     ok = ok and total == 24
-    print(f"    {'total':<28} {total:>5} {24:>6}")
+    lines.append(f"    {'total':<28} {total:>5} {24:>6}")
     if not ok:
-        print("census self-test failed", file=sys.stderr)
-    return 0 if ok else 1
+        _stderr("census self-test failed")
+    return "\n".join(lines) + "\n", 0 if ok else 1
 
 
-def _cmd_ordergraph(args) -> int:
-    P = _matrix_arg(args.matrix)
-    _write_output(args.out, to_dot(build_order_graph(P), simplified=args.simplified))
-    return 0
+def _cmd_ordergraph(args) -> tuple[str, int]:
+    return to_dot(build_order_graph(_matrix_arg(args.matrix)), simplified=args.simplified), 0
 
 
-def _cmd_decompose(args) -> int:
-    """Print the decompose.v1 view of the game's report.v1 document."""
+def _cmd_decompose(args) -> tuple[str, int]:
+    """The decompose.v1 view of the game's report.v1 document."""
     report = build_report(_matrix_arg(args.matrix))
     degenerate = report["degenerate"]
     doc = {
@@ -414,15 +396,24 @@ def _cmd_decompose(args) -> int:
         "matrix": report["matrix"],
         **(report["decomposition"] or _NO_DECOMPOSITION),
     }
-    print(json.dumps(doc, indent=2))
-    return 0
+    return json.dumps(doc, indent=2) + "\n", 0
+
+
+def _stderr(line: str) -> None:
+    """Write one line to stderr; drop it when stderr is closed or fails, never send it to stdout."""
+    try:
+        if sys.stderr is not None:  # None when fd 2 was closed at start-up
+            sys.stderr.write(line + "\n")
+    except OSError:
+        pass
 
 
 class _Parser(argparse.ArgumentParser):
     """Reports a usage error as one ``error:`` line; subparsers share the class."""
 
     def error(self, message):
-        self.exit(2, f"error: {message}\n")
+        _stderr(f"error: {message}")  # Python 3.10's argparse fails on a closed stderr
+        sys.exit(2)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -477,22 +468,30 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[list] = None) -> int:
     args = _build_parser().parse_args(argv)
+    path = getattr(args, "out", None)
     try:
-        if sys.stdout is None and getattr(args, "out", None) in (None, "-"):
+        if sys.stdout is None and path in (None, "-"):
             raise OSError("stdout is closed")  # fd 1 was closed at start-up
-        code = args.func(args)
-        if sys.stdout is not None:
+        text, code = args.func(args)
+        if path in (None, "-"):
+            sys.stdout.write(text)
             sys.stdout.flush()  # a closed pipe shows here, not at exit
+        else:
+            try:
+                with open(path, "w", encoding="utf-8") as fh:
+                    fh.write(text)
+            except OSError as exc:
+                raise ValueError(f"--out file {_quote(path)}: {exc.strerror}") from exc
         return code
     except BrokenPipeError:
         return 141  # 128 + SIGPIPE, silent as for any program killed by it
     except KeyboardInterrupt:
-        print("error: interrupted", file=sys.stderr)
+        _stderr("error: interrupted")
         return 130
     except (ValueError, OSError) as exc:
         # Degenerate games are handled inside the commands, so a ValueError
         # here is a parse or usage problem.
-        print(f"error: {exc}", file=sys.stderr)
+        _stderr(f"error: {exc}")
         return 2
 
 

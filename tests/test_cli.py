@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import errno
 import io
 import json
 import os
@@ -595,6 +596,44 @@ def test_python_m_with_fd_1_closed(tmp_path, command, expected) -> None:
         assert (result.returncode, result.stderr) == (2, "error: stdout is closed\n")
 
 
+class _FailingStderr(io.StringIO):
+    """A stderr on an fd reused read-only, as a closed fd 2 can be before Python starts."""
+
+    def write(self, text):
+        raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+
+
+@pytest.mark.parametrize("stderr", [None, _FailingStderr()], ids=["closed", "failing"])
+def test_closed_or_failing_stderr_never_reaches_stdout(capsys, monkeypatch, tmp_path, stderr) -> None:
+    """With fd 2 closed, CPython sets sys.stderr to None: error and warning lines are dropped."""
+    points = tmp_path / "points.txt"
+    points.write_text("3,1;4,2\n1,1;1,1\n", encoding="utf-8")
+    monkeypatch.setattr(sys, "stderr", stderr)
+    assert (main(["classify", "1,x"]), capsys.readouterr().out) == (2, "")
+    with pytest.raises(SystemExit) as usage:
+        main(["fractions", "--samples", "abc"])
+    assert (usage.value.code, capsys.readouterr().out) == (2, "")
+    assert main(["map", "--points", str(points)]) == 0
+    assert ET.fromstring(capsys.readouterr().out).tag == "{http://www.w3.org/2000/svg}svg"
+
+
+@pytest.mark.parametrize("command, expected", [("classify", 2), ("map", 0)])
+def test_python_m_with_fd_2_closed(tmp_path, command, expected) -> None:
+    """The console entry point, run as ``python -m symgame ... 2>&-``: stdout holds the document or nothing."""
+    points = tmp_path / "points.txt"
+    points.write_text("1,1;1,1\n", encoding="utf-8")
+    argv = ["classify", "1,x"] if command == "classify" else ["map", "--points", str(points)]
+    result = subprocess.run(
+        shlex.join([sys.executable, "-m", "symgame", *argv]) + " 2>&-", shell=True,
+        stdout=subprocess.PIPE, text=True, env=_cli_env(), timeout=60, check=False,
+    )
+    assert result.returncode == expected
+    if expected == 0:
+        assert ET.fromstring(result.stdout).tag == "{http://www.w3.org/2000/svg}svg"
+    else:
+        assert result.stdout == ""
+
+
 # ---------------------------------------------------------------------------
 # ordergraph and map
 
@@ -608,6 +647,27 @@ def test_ordergraph_stdout_and_file_output(capsys, tmp_path) -> None:
     code, _, _ = run_cli(capsys, "ordergraph", "3,1;4,2", "--out", str(target))
     assert code == 0
     assert target.read_text(encoding="utf-8") == out
+
+
+@pytest.mark.parametrize("command", ["map", "ordergraph"])
+def test_stdout_and_out_give_the_same_bytes(capsysbinary, monkeypatch, tmp_path, command) -> None:
+    """The document is written once, whatever the target; a warning on a closed stderr adds nothing."""
+    points = tmp_path / "points.txt"
+    points.write_text("3,1;4,2\n1,1;1,1\n", encoding="utf-8")
+    argv = {
+        "map": ["map", "--points", str(points), "--trajectory=-9,-3;-1,1;9,15;5,7;21"],
+        "ordergraph": ["ordergraph", "3,1;4,2"],
+    }[command]
+    target = tmp_path / "out"
+    monkeypatch.setattr(sys, "stderr", None)
+    outputs = []
+    for out in ([], ["--out", "-"]):
+        assert main(argv + out) == 0
+        outputs.append(capsysbinary.readouterr().out)
+    assert main(argv + ["--out", str(target)]) == 0
+    assert capsysbinary.readouterr().out == b""
+    outputs.append(target.read_bytes())
+    assert outputs[0] and outputs == [outputs[0]] * 3
 
 
 def test_ordergraph_simplified(capsys) -> None:
@@ -743,10 +803,10 @@ _points_files = st.one_of(
 )
 
 
-def _outcome(argv) -> tuple:
+def _outcome(argv, stderr_open: bool = True) -> tuple:
     """(exit code, stdout, stderr) of ``main(argv)``, counting a usage exit as a code."""
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err if stderr_open else None):
         try:
             code = main(argv)
         except SystemExit as exc:
@@ -768,6 +828,7 @@ def _assert_error_exit(code, out, err) -> bool:
 def test_matrix_commands_exit_0_with_a_document_or_2_with_one_error_line(command, text) -> None:
     argv = [command, "--json", "--", text] if command == "classify" else [command, "--", text]
     code, out, err = _outcome(argv)
+    assert _outcome(argv, stderr_open=False) == (code, out, "")  # fd 2 closed: the same stdout
     if _assert_error_exit(code, out, err):
         return
     assert err == ""
@@ -787,6 +848,7 @@ def test_map_exits_0_with_an_svg_or_2_with_one_error_line(spec, points) -> None:
             path.write_bytes(points)
             argv += ["--points", str(path)]
         code, out, err = _outcome(argv)
+        assert _outcome(argv, stderr_open=False) == (code, out, "")  # fd 2 closed: the same stdout
     if _assert_error_exit(code, out, err):
         return
     assert all(line.startswith("warning: skipping constant matrix") for line in err.splitlines())
