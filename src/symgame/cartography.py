@@ -8,8 +8,10 @@ membership test is an exact rational sign check.
 
 The vertices of the partition are 6 axis directions and 8 cube corners, one
 per nonempty proper subset S of the four entries: the integer payoff matrix
-6/|S| on S, 0 elsewhere.  Region w > x > y > z is the open cone over those on
-its prefix sets {w}, {w,x} and {w,x,y}, and any non-trivial game decomposes as
+6/|S| on S, 0 elsewhere.  ``_VERTEX_ON`` builds each from its subset, with
+the signs of its g-triple as its direction, and ``CANONICAL_MATRICES`` indexes
+them by direction.  Region w > x > y > z is the open cone over those on its
+prefix sets {w}, {w,x} and {w,x,y}, and any non-trivial game decomposes as
 
     P = offset * J + scale * (w1*V1 + w2*V2 + w3*V3)
 
@@ -40,11 +42,10 @@ import numpy as np
 from .payoff import (
     PayoffMatrix,
     CubePoint,
-    GVector,
     TrivialGame,
     _common_denominator,
     _cube_ints,
-    inverse_g_transform,
+    g_transform,
 )
 
 __all__ = [
@@ -137,26 +138,17 @@ class CanonicalMatrix:
     matrix: PayoffMatrix
 
 
-def _canonical(direction: tuple) -> CanonicalMatrix:
-    """The vertex along ``direction``: 6/k on its top k entries, 0 elsewhere, summing to 6.
-
-    Its zero-level matrix takes two values, and its top k entries hold the larger one.
-    """
-    level = inverse_g_transform(GVector(0, *direction)).entries()
-    top = [x == max(level) for x in level]
-    return CanonicalMatrix(direction, PayoffMatrix(*(6 // top.count(True) * t for t in top)))
+def _vertex(subset: tuple) -> CanonicalMatrix:
+    """The vertex on ``subset``: 6/k on its k labels, 0 elsewhere, along the signs of its g-triple."""
+    M = PayoffMatrix(*(6 // len(subset) * (x in subset) for x in LABELS))
+    return CanonicalMatrix(tuple((g > 0) - (g < 0) for g in g_transform(M).triple()), M)
 
 
-_AXIS_DIRECTIONS = (
-    (1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1),
-)
-_CORNER_DIRECTIONS = tuple(itertools.product((1, -1), repeat=3))
-CANONICAL_DIRECTIONS = _AXIS_DIRECTIONS + _CORNER_DIRECTIONS
-CANONICAL_MATRICES = {d: _canonical(d) for d in CANONICAL_DIRECTIONS}
-# The vertex on each nonempty proper subset of the labels: those of its nonzero entries.
-_VERTEX_ON = {
-    frozenset(x for x, e in zip(LABELS, v.matrix.entries()) if e): v for v in CANONICAL_MATRICES.values()
-}
+# The vertex on each nonempty proper subset of the labels.
+_VERTEX_ON = {frozenset(s): _vertex(s) for k in (1, 2, 3) for s in itertools.combinations(LABELS, k)}
+_AXIS_DIRECTIONS = ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1))
+CANONICAL_DIRECTIONS = _AXIS_DIRECTIONS + tuple(itertools.product((1, -1), repeat=3))
+CANONICAL_MATRICES = {d: v for d in CANONICAL_DIRECTIONS for v in _VERTEX_ON.values() if v.direction == d}
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +280,7 @@ def decompose(P: PayoffMatrix) -> Decomposition:
     y = tuple(k * (s[k - 1] - s[k]) for k in (6 // max(v.matrix._scaled[1:]) for v in ordered))
     total = sum(y)
     weights = tuple(Fraction(yk, total) for yk in y)
-    return Decomposition(P.min_entry(), Fraction(total, 6 * q), weights, ordered, region)
+    return Decomposition(Fraction(s[3], q), Fraction(total, 6 * q), weights, ordered, region)
 
 
 def reconstruct(dec: Decomposition) -> PayoffMatrix:

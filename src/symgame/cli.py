@@ -2,8 +2,10 @@
 
 Matrix arguments accept the text form "a,b;c,d" (row-major) or the JSON form
 {"payoff": [[a, b], [c, d]]}.  JSON and CSV outputs render every rational as
-a "p/q" string with a decimal duplicate; JSON documents carry a "schema" tag
-matching the schema files shipped under ``symgame/schemas``.
+a "p/q" string with a decimal duplicate, both read off its integer ratio by
+``_rationals``: the decimal is the correctly rounded float of the rational.
+JSON documents carry a "schema" tag matching the schema files shipped under
+``symgame/schemas``.
 
 Each command returns its output text and ``main`` writes it once, to stdout or
 ``--out``, so a failed run leaves stdout empty.  Error and warning lines go to
@@ -64,29 +66,31 @@ _MAX_MARKERS = 100_000  # lines of a --points file
 _MAX_POINTS_CHARS = 2 ** 24  # characters of a --points file, read before it is split into lines
 
 
+def _rationals(values) -> tuple[list, list]:
+    """The "p/q" texts ("p" when q is 1) and the floats of rationals, from their integer ratios."""
+    ratios = [x.as_integer_ratio() for x in values]
+    # Int true division rounds correctly, so p / q equals float(x).
+    return [f"{p}/{q}" if q != 1 else str(p) for p, q in ratios], [p / q for p, q in ratios]
+
+
 def _exact(**values) -> dict:
     """Each value as a "p/q" string under its name, then as a float under ``<name>_decimal``."""
     doc = {}
-    for name, value in values.items():
-        doc[name] = str(value)
-        doc[f"{name}_decimal"] = float(value)
+    for name, text, decimal in zip(values, *_rationals(values.values())):
+        doc[name] = text
+        doc[f"{name}_decimal"] = decimal
     return doc
 
 
 def _coordinates_doc(point) -> dict:
     """A coordinate dataclass's fields, in order, as "p/q" strings and as floats."""
-    coords = vars(point)
-    return {
-        "rational": {k: str(v) for k, v in coords.items()},
-        "decimal": {k: float(v) for k, v in coords.items()},
-    }
+    texts, decimals = _rationals(vars(point).values())
+    return {"rational": dict(zip(vars(point), texts)), "decimal": dict(zip(vars(point), decimals))}
 
 
 def _matrix_doc(P: PayoffMatrix) -> dict:
-    return {
-        "rational": [[str(x) for x in row] for row in P.rows()],
-        "decimal": [[float(x) for x in row] for row in P.rows()],
-    }
+    texts, decimals = _rationals(P.entries())
+    return {"rational": [texts[:2], texts[2:]], "decimal": [decimals[:2], decimals[2:]]}
 
 
 def _mixed_doc(P: PayoffMatrix, p) -> Optional[dict]:
@@ -101,11 +105,12 @@ def _positions_doc(positions) -> list:
 
 def _decomposition_doc(P: PayoffMatrix) -> dict:
     dec = decompose(P)
+    weights, weights_decimal = _rationals(dec.weights)
     return {
         "region": {"id": dec.region.id, "ordering": dec.region.ordering_text},
         **_exact(offset=dec.trivial_offset, scale=dec.scale),
-        "weights": [str(w) for w in dec.weights],
-        "weights_decimal": [float(w) for w in dec.weights],
+        "weights": weights,
+        "weights_decimal": weights_decimal,
         "vertices": [
             {
                 "direction": [int(x) for x in v.direction],
@@ -175,12 +180,9 @@ def build_report(P: PayoffMatrix) -> dict:
         return report
     report["cube_point"] = _coordinates_doc(normalize_cube(P))
     mp = map_point(P)
+    (u, v), (u_decimal, v_decimal) = _rationals((mp.u, mp.v))
     report["map_point"] = {
-        "u": str(mp.u),
-        "v": str(mp.v),
-        "u_decimal": float(mp.u),
-        "v_decimal": float(mp.v),
-        "face": mp.face_tag,
+        "u": u, "v": v, "u_decimal": u_decimal, "v_decimal": v_decimal, "face": mp.face_tag
     }
     report["decomposition"] = _decomposition_doc(P)
     return report
@@ -296,12 +298,9 @@ def _cmd_map(args) -> tuple[str, int]:
 
 
 def _estimate_doc(exact: Fraction, estimate: float, std_error: float) -> dict:
-    return {
-        **_exact(exact=exact),
-        "estimate": estimate,
-        "abs_error": abs(estimate - float(exact)),
-        "std_error": std_error,
-    }
+    doc = _exact(exact=exact)
+    abs_error = abs(estimate - doc["exact_decimal"])
+    return {**doc, "estimate": estimate, "abs_error": abs_error, "std_error": std_error}
 
 
 def _fractions_doc(report) -> dict:

@@ -130,9 +130,6 @@ class PayoffMatrix:
     def rows(self) -> tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]]:
         return ((self.a, self.b), (self.c, self.d))
 
-    def min_entry(self) -> Fraction:
-        return min(self.entries())
-
     def is_constant(self) -> bool:
         return self.a == self.b == self.c == self.d
 

@@ -144,9 +144,16 @@ def test_sign_vectors_are_strict_and_consistent() -> None:
 def test_canonical_matrix_inventory() -> None:
     assert len(CANONICAL_DIRECTIONS) == 14
     assert len(CANONICAL_MATRICES) == 14
+    # One vertex per nonempty proper subset of the labels: 6/k on its k labels, 0 elsewhere.
+    subsets = {frozenset(s) for k in (1, 2, 3) for s in itertools.combinations(LABELS, k)}
+    assert set(cartography._VERTEX_ON) == subsets
+    for subset, vertex in cartography._VERTEX_ON.items():
+        assert vertex.matrix.entries() == tuple(Fraction(6, len(subset)) * (x in subset) for x in LABELS)
+    # Insertion order is pinned: the golden digests iterate CANONICAL_MATRICES.values().
+    assert tuple(CANONICAL_MATRICES) == CANONICAL_DIRECTIONS
     for direction, vertex in CANONICAL_MATRICES.items():
         M = vertex.matrix
-        assert M.min_entry() == 0
+        assert min(M.entries()) == 0
         assert all(x.denominator == 1 for x in M.entries())
         axis = direction.count(0) == 2
         t = 3 if axis or direction[0] * direction[1] * direction[2] > 0 else 1
@@ -252,7 +259,7 @@ def test_decompose_properties_on_random_games(P: PayoffMatrix) -> None:
     assume(not P.is_constant())
     dec = decompose(P)
     assert reconstruct(dec) == P
-    assert dec.trivial_offset == P.min_entry()
+    assert dec.trivial_offset == min(P.entries())
     assert dec.scale > 0
     assert sum(dec.weights) == 1
     assert all(w >= 0 for w in dec.weights)

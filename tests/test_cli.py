@@ -424,6 +424,23 @@ def test_decompose_trivial_degenerate(capsys) -> None:
     assert doc["offset"] is None and doc["weights"] is None
 
 
+_magnitudes = st.integers(-10**300, 10**300)
+_rationals = st.one_of(
+    _magnitudes,
+    st.builds(Fraction, _magnitudes, st.integers(1, 10**300)),
+    st.builds(Fraction, st.integers(-10**20, 10**20), st.integers(1, 10**20)),
+    st.floats(allow_nan=False, allow_infinity=False).map(Fraction),  # subnormals and exact floats
+)
+
+
+@given(st.lists(_rationals, max_size=6))
+def test_rational_texts_and_decimals_are_str_and_float(values) -> None:
+    texts, decimals = cli._rationals(values)
+    assert texts == [str(x) for x in values]
+    assert decimals == [float(x) for x in values]
+    assert all(type(x) is float for x in decimals)
+
+
 # ---------------------------------------------------------------------------
 # census and fractions
 

@@ -6,6 +6,7 @@ are defined, and the kernel must return the same value and type.
 
 from __future__ import annotations
 
+import dataclasses
 import re
 from collections import Counter
 from fractions import Fraction
@@ -16,7 +17,9 @@ from hypothesis import given, settings, strategies as st
 from symgame import cli, taxonomy
 from symgame.cartography import (
     BoundaryGame,
+    Decomposition,
     MapPoint,
+    REGIONS,
     decompose,
     map_point,
     reconstruct,
@@ -159,6 +162,34 @@ def test_decompose_matches_the_fraction_closed_form(P: PayoffMatrix) -> None:
     rebuilt = reconstruct(dec)
     assert rebuilt == P
     assert _all_fractions(rebuilt.entries())
+
+
+@settings(deadline=None)
+@given(_entries, _entries, st.tuples(_entries, _entries, _entries), st.sampled_from(REGIONS))
+def test_reconstruct_reads_only_the_stated_values(offset, scale, weights, region) -> None:
+    """Any stated values, weights not summing to 1 included, rebuild as offset*J + scale*sum(w*V)."""
+    vertices = region.vertices
+    dec = Decomposition(offset, scale, weights, vertices, region)
+    V1, V2, V3 = (v.matrix for v in vertices)
+    w1, w2, w3 = weights
+    expected = offset * PayoffMatrix.constant(1) + scale * (w1 * V1 + w2 * V2 + w3 * V3)
+    rebuilt = reconstruct(dec)
+    assert rebuilt == expected
+    assert _all_fractions(rebuilt.entries())
+
+
+@pytest.mark.parametrize("P", [PayoffMatrix(9, 15, 5, 7), PayoffMatrix(1, 1, 0, 2)], ids=["strict", "tied"])
+def test_a_nudged_weight_fails_the_reconstruction_check(P, monkeypatch) -> None:
+    """reconstruction_exact checks the stated weights, not the integers decompose derived them from."""
+    assert cli.build_report(P)["decomposition"]["reconstruction_exact"] is True
+
+    def nudged(Q: PayoffMatrix) -> Decomposition:
+        dec = decompose(Q)
+        w1, *rest = dec.weights
+        return dataclasses.replace(dec, weights=(w1 + Fraction(1, 10**9), *rest))
+
+    monkeypatch.setattr(cli, "decompose", nudged)
+    assert cli.build_report(P)["decomposition"]["reconstruction_exact"] is False
 
 
 @settings(deadline=None)

@@ -57,7 +57,7 @@ def test_from_rows_shape_checks() -> None:
 def test_entry_indexing_matches_rows() -> None:
     P = PayoffMatrix(1, 2, 3, 4)
     assert [[P.entry(i, j) for j in (0, 1)] for i in (0, 1)] == [list(r) for r in P.rows()]
-    assert P.min_entry() == 1
+    assert min(P.entries()) == 1
     assert not P.is_constant()
     assert PayoffMatrix.constant(Fraction(5, 3)).is_constant()
 
