@@ -102,3 +102,40 @@ def test_map_svg_is_pinned() -> None:
     path = trajectory(PayoffMatrix(-9, -3, -1, 1), PayoffMatrix(9, 15, 5, 7), 101)
     svg = render_map(markers=markers, trajectories=[[s.point for s in path]])
     assert _sha(svg) == "9b0cf30143cd0c20fe7ddec7ac0215bb5d684b6fc7591a6e63db98edc0487243"
+
+
+def _grammar_literal(rng: random.Random) -> str:
+    r = rng.random()
+    if r < 0.4:
+        q = rng.randint(2, 97)
+        return f"{rng.randint(-50 * q, 50 * q)}/{q}"
+    if r < 0.7:
+        return f"{rng.randint(-5000, 5000) / 100:.2f}"
+    return str(rng.randint(-50, 50))
+
+
+def _grammar_texts() -> list:
+    """500 payoff texts: p/q up to q = 97, two-decimal literals, ties and constants."""
+    rng = random.Random(20261)
+    texts = []
+    for k in range(500):
+        entries = [_grammar_literal(rng) for _ in range(4)]
+        if k % 5 == 3:  # a tie: one entry written again, possibly in another form
+            entries[rng.randrange(4)] = entries[rng.randrange(4)]
+        elif k % 50 == 7:
+            entries = [entries[0]] * 4
+        texts.append("{},{};{},{}".format(*entries))
+    return texts
+
+
+def test_cli_documents_over_the_input_grammar_are_pinned(capsys) -> None:
+    # Recorded before the order graph, reconstruct and the report parts were
+    # rewritten on integer ratios.
+    digests = {
+        command[0]: _sha("".join(_cli_stdout(capsys, *command, "--", text) for text in _grammar_texts()))
+        for command in (("classify", "--json"), ("ordergraph",))
+    }
+    assert digests == {
+        "classify": "30f96422b85383c6ca08e719b15e3dc93621e0118e93d6ccad2daf738d75fe8d",
+        "ordergraph": "f3be4ac7f4ad4c743c1508b2a7e3d7199c604dd316d13ad55f20917b0aa2e03c",
+    }
