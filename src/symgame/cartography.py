@@ -43,7 +43,6 @@ from .payoff import (
     PayoffMatrix,
     CubePoint,
     TrivialGame,
-    _common_denominator,
     _cube_ints,
     g_transform,
 )
@@ -285,10 +284,12 @@ def decompose(P: PayoffMatrix) -> Decomposition:
 
 def reconstruct(dec: Decomposition) -> PayoffMatrix:
     """Rebuild the matrix from the stated values alone, over one common denominator (exact)."""
-    den, offset, *coefs = _common_denominator(dec.trivial_offset, *(dec.scale * w for w in dec.weights))
+    (o, p), (s, t) = dec.trivial_offset.as_integer_ratio(), dec.scale.as_integer_ratio()
+    weights = [w.as_integer_ratio() for w in dec.weights]
+    den = math.lcm(p, *(t * q for _, q in weights))  # offset o/p, coefficients s*n / (t*q)
+    offset, coefs = o * (den // p), [s * n * (den // (t * q)) for n, q in weights]
     columns = zip(*(v.matrix._scaled[1:] for v in dec.vertices))  # integer vertex entries
-    sums = (offset + sum(c * x for c, x in zip(coefs, col)) for col in columns)
-    return PayoffMatrix(*(Fraction(n, den) for n in sums))
+    return PayoffMatrix(*(Fraction(offset + sum(c * x for c, x in zip(coefs, col)), den) for col in columns))
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ and 141 when the reader of stdout has gone.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -112,41 +113,35 @@ def _decomposition_doc(P: PayoffMatrix) -> dict:
         "weights": weights,
         "weights_decimal": weights_decimal,
         "vertices": [
-            {
-                "direction": [int(x) for x in v.direction],
-                "matrix": {k: [r[:] for r in rows] for k, rows in _VERTEX_DOCS[v.direction].items()},
-            }
-            for v in dec.vertices
+            {"direction": d[:], "matrix": {"rational": [r0[:], r1[:]], "decimal": [f0[:], f1[:]]}}
+            for d, (r0, r1), (f0, f1) in (_VERTEX_ROWS[v.direction] for v in dec.vertices)
         ],
         "reconstruction_exact": reconstruct(dec) == P,
     }
 
 
-# The 14 vertex matrices' documents, built once; each report gets its own copy of the lists.
-_VERTEX_DOCS = {d: _matrix_doc(v.matrix) for d, v in CANONICAL_MATRICES.items()}
+# Each vertex's direction, rational rows and decimal rows, built once; a report copies the lists.
+_VERTEX_ROWS = {d: ([int(x) for x in d], *_matrix_doc(v.matrix).values()) for d, v in CANONICAL_MATRICES.items()}
+# Each class row's game_class fields after "index", built once; a report copies the dict.
+_CLASS_DOCS = [
+    {"display_name": row.display_name, "category": row.category.value, "po_status": row.po_status.value,
+     "payoff_comparison": row.payoff_comparison.value, **_exact(fraction=row.fraction)}
+    for row in CLASS_TABLE
+]
 # decompose.v1's decomposition section for a constant matrix: every key, all None.
 _NO_DECOMPOSITION = dict.fromkeys(_decomposition_doc(REGIONS[0].representative()))
+
+# report.v1's keys in document order; build_report fills in those that apply.
+_REPORT_KEYS = (
+    "schema", "degenerate", "matrix", "g_vector", "boundary", "region", "game_class", "nash_equilibria",
+    "pareto_optima", "mixed_nash", "mixed_pareto", "comparison", "cube_point", "map_point", "decomposition",
+)
 
 
 def build_report(P: PayoffMatrix) -> dict:
     """The report.v1 document for a game; total over degenerate inputs."""
-    report = {
-        "schema": "report.v1",
-        "degenerate": None,
-        "matrix": _matrix_doc(P),
-        "g_vector": _coordinates_doc(g_transform(P)),
-        "boundary": None,
-        "region": None,
-        "game_class": None,
-        "nash_equilibria": None,
-        "pareto_optima": None,
-        "mixed_nash": None,
-        "mixed_pareto": None,
-        "comparison": None,
-        "cube_point": None,
-        "map_point": None,
-        "decomposition": None,
-    }
+    report = dict.fromkeys(_REPORT_KEYS)
+    report.update(schema="report.v1", matrix=_matrix_doc(P), g_vector=_coordinates_doc(g_transform(P)))
     try:
         cls = classify(P)
     except TrivialGame:
@@ -160,15 +155,8 @@ def build_report(P: PayoffMatrix) -> dict:
     else:
         ne, po, p_ne, p_po = cls.ne_set, cls.po_set, cls.mixed_ne, cls.mixed_po
         report["region"] = {"id": cls.region.id, "ordering": cls.region.ordering_text}
-        row = cls.game_class
-        report["game_class"] = {
-            "index": REGION_ROW[cls.region.id],
-            "display_name": row.display_name,
-            "category": row.category.value,
-            "po_status": row.po_status.value,
-            "payoff_comparison": row.payoff_comparison.value,
-            **_exact(fraction=row.fraction),
-        }
+        k = REGION_ROW[cls.region.id]
+        report["game_class"] = {"index": k, **_CLASS_DOCS[k]}
         if cls.comparison_values is not None:
             ne_value, po_value = cls.comparison_values
             report["comparison"] = _exact(ne_value=ne_value, po_value=po_value)
@@ -465,22 +453,36 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@contextlib.contextmanager
+def _out_errors(path: str):
+    """Report an OSError on the --out file as one line that names the flag and the path."""
+    try:
+        yield
+    except OSError as exc:
+        raise ValueError(f"--out file {_quote(path)}: {exc.strerror}") from exc
+
+
 def main(argv: Optional[list] = None) -> int:
     args = _build_parser().parse_args(argv)
     path = getattr(args, "out", None)
+    to_stdout, out = path in (None, "-"), None
+    fresh = not to_stdout and not os.path.lexists(path)  # a file this run creates goes if it fails
     try:
-        if sys.stdout is None and path in (None, "-"):
+        if to_stdout and sys.stdout is None:
             raise OSError("stdout is closed")  # fd 1 was closed at start-up
+        if not to_stdout:
+            with _out_errors(path):  # a bad path fails before any work; append keeps the bytes
+                out = open(path, "a", encoding="utf-8")
         text, code = args.func(args)
-        if path in (None, "-"):
+        if to_stdout:
             sys.stdout.write(text)
             sys.stdout.flush()  # a closed pipe shows here, not at exit
         else:
-            try:
-                with open(path, "w", encoding="utf-8") as fh:
-                    fh.write(text)
-            except OSError as exc:
-                raise ValueError(f"--out file {_quote(path)}: {exc.strerror}") from exc
+            with _out_errors(path), out:
+                if os.path.isfile(path):  # a device or a pipe has no bytes to replace
+                    out.truncate(0)
+                out.write(text)
+            fresh = False
         return code
     except BrokenPipeError:
         return 141  # 128 + SIGPIPE, silent as for any program killed by it
@@ -492,6 +494,11 @@ def main(argv: Optional[list] = None) -> int:
         # here is a parse or usage problem.
         _stderr(f"error: {exc}")
         return 2
+    finally:
+        if out is not None:
+            out.close()
+            if fresh:
+                os.remove(path)
 
 
 def console_entry() -> None:

@@ -7,7 +7,9 @@ column player).  Pareto arrows sit on the same node pairs but point toward
 the *other* player's better payoff.  Ties produce double-headed arrows.
 
 Reading equilibria off the arrows is an independent route to the same sets
-the inequality predicates compute, which makes the graph a handy oracle.
+the inequality predicates compute, which makes the graph a handy oracle: the
+arrows compare the Fraction entries themselves, and a sink is read in one
+pass, as a position that is the tail of no single-headed arrow.
 """
 
 from __future__ import annotations
@@ -61,38 +63,28 @@ def _arrow(first: Position, second: Position, first_value, second_value, owner: 
     return Arrow(first, second, owner, False)
 
 
+# The row player's switches (0,j) <-> (1,j), then the column player's (i,0) <-> (i,1).
+_FIRST = ((0, 0), (0, 1), (0, 0), (1, 0))
+_SECOND = ((1, 0), (1, 1), (0, 1), (1, 1))
+_OWNERS = ("row", "row", "col", "col")
+_NAMES = tuple(f"pos_{i}{j}" for i, j in POSITIONS)
+_ALL = frozenset(POSITIONS)
+
+
 def build_order_graph(P: PayoffMatrix) -> OrderGraph:
     """Construct nodes and both arrow families for a game."""
-    nodes = tuple(
-        GraphNode(
-            position=(i, j),
-            x=P.entry(j, i),
-            y=P.entry(i, j),
-            name=f"pos_{i}{j}",
-        )
-        for (i, j) in POSITIONS
-    )
-    nash = []
-    pareto = []
-    for j in (0, 1):  # row player's switches: (0,j) <-> (1,j)
-        u, v = (0, j), (1, j)
-        nash.append(_arrow(u, v, P.entry(0, j), P.entry(1, j), "row"))
-        pareto.append(_arrow(u, v, P.entry(j, 0), P.entry(j, 1), "row"))
-    for i in (0, 1):  # column player's switches: (i,0) <-> (i,1)
-        u, v = (i, 0), (i, 1)
-        nash.append(_arrow(u, v, P.entry(0, i), P.entry(1, i), "col"))
-        pareto.append(_arrow(u, v, P.entry(i, 0), P.entry(i, 1), "col"))
-    return OrderGraph(P, nodes, tuple(nash), tuple(pareto))
+    a, b, c, d = P.entries()
+    # Node (i, j) sits at (P[j][i], P[i][j]): the column player's payoff, then the row player's.
+    nodes = tuple(map(GraphNode, POSITIONS, (a, c, b, d), (a, b, c, d), _NAMES))
+    # A Nash arrow compares its owner's payoffs at the two ends, a Pareto arrow the other player's.
+    nash = tuple(map(_arrow, _FIRST, _SECOND, (a, b, a, b), (c, d, c, d), _OWNERS))
+    pareto = tuple(map(_arrow, _FIRST, _SECOND, (a, c, a, c), (b, d, b, d), _OWNERS))
+    return OrderGraph(P, nodes, nash, pareto)
 
 
 def _sinks(arrows: tuple) -> PositionSet:
-    """Positions whose adjacent arrows all point at them (double counts)."""
-    result = []
-    for pos in POSITIONS:
-        adjacent = [arr for arr in arrows if pos in (arr.tail, arr.head)]
-        if all(arr.double or arr.head == pos for arr in adjacent):
-            result.append(pos)
-    return frozenset(result)
+    """Positions that no single-headed arrow leaves: every adjacent arrow points at them or is double."""
+    return _ALL.difference([arr.tail for arr in arrows if not arr.double])
 
 
 def graph_nash_set(g: OrderGraph) -> PositionSet:
@@ -112,7 +104,6 @@ def to_dot(g: OrderGraph, simplified: bool = False) -> str:
     circled.  ``simplified`` keeps only the nodes and equilibrium marks.
     """
     ne = graph_nash_set(g)
-    names = {node.position: node.name for node in g.nodes}
     lines = [
         "digraph order_graph {",
         "  graph [layout=neato];",
@@ -122,13 +113,13 @@ def to_dot(g: OrderGraph, simplified: bool = False) -> str:
         i, j = node.position
         shape = ", shape=doublecircle" if node.position in ne else ""
         label = f"({i},{j})\\n{node.y}, {node.x}"
-        lines.append(
-            f'  {node.name} [label="{label}", pos="{float(node.x):g},{float(node.y):g}!"{shape}];'
-        )
+        (p, q), (r, t) = node.x.as_integer_ratio(), node.y.as_integer_ratio()
+        lines.append(f'  {node.name} [label="{label}", pos="{p / q:g},{r / t:g}!"{shape}];')
     if not simplified:
         for style, arrows in (("solid", g.nash_arrows), ("dashed", g.pareto_arrows)):
             for arr in arrows:
                 extra = ", dir=both" if arr.double else ""
-                lines.append(f"  {names[arr.tail]} -> {names[arr.head]} [style={style}{extra}];")
+                (i, j), (k, l) = arr.tail, arr.head
+                lines.append(f"  pos_{i}{j} -> pos_{k}{l} [style={style}{extra}];")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -199,7 +199,7 @@ class CubePoint:
     def __post_init__(self) -> None:
         for name in ("ga", "gb", "gab"):
             object.__setattr__(self, name, _as_fraction(getattr(self, name), name))
-        if max(abs(self.ga), abs(self.gb), abs(self.gab)) != 1:
+        if max(abs(n) - q for n, q in map(Fraction.as_integer_ratio, self.triple())) != 0:
             raise ValueError("cube point must have max-abs coordinate exactly 1")
 
     def triple(self) -> tuple[Fraction, Fraction, Fraction]:

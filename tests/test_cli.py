@@ -758,6 +758,39 @@ def test_map_bad_inputs_exit_2(capsys, monkeypatch, tmp_path) -> None:
         assert (code, err) == (2, f"error: --out file {path!r}: {why}\n")
 
 
+@pytest.mark.parametrize("command", ["map", "ordergraph"])
+def test_an_unwritable_out_fails_before_the_command_runs(capsys, monkeypatch, command) -> None:
+    def never(args):
+        raise AssertionError("the command ran before --out was opened")
+
+    monkeypatch.setattr(cli, f"_cmd_{command}", never)
+    argv = {"map": ["map", "--trajectory=-9,-3;-1,1;9,15;5,7;100000"], "ordergraph": ["ordergraph", "3,1;4,2"]}
+    path = "/nonexistent/dir/out"
+    code, out, err = run_cli(capsys, *argv[command], "--out", path)
+    assert (code, out, err) == (2, "", f"error: --out file {path!r}: No such file or directory\n")
+
+
+def test_a_failed_command_leaves_out_as_it_was(capsys, monkeypatch, tmp_path) -> None:
+    """An existing file keeps its bytes, and a file the run created is removed again."""
+    monkeypatch.chdir(tmp_path)
+    Path("keep.dot").write_bytes(b"keep\n")
+    for path in ("keep.dot", "new.dot"):
+        code, out, err = run_cli(capsys, "ordergraph", "1,x", "--out", path)
+        assert (code, out, err) == (2, "", "error: expected 2 rows separated by ';', got 1 in '1,x'\n")
+    assert Path("keep.dot").read_bytes() == b"keep\n"
+    assert not Path("new.dot").exists()
+
+
+def test_out_replaces_a_longer_file_and_writes_to_a_device(capsys, tmp_path) -> None:
+    expected = run_cli(capsys, "ordergraph", "3,1;4,2")[1]
+    target = tmp_path / "graph.dot"
+    target.write_text("x" * 10 * len(expected), encoding="utf-8")
+    assert run_cli(capsys, "ordergraph", "3,1;4,2", "--out", str(target)) == (0, "", "")
+    assert target.read_text(encoding="utf-8") == expected
+    if os.path.exists(os.devnull):
+        assert run_cli(capsys, "ordergraph", "3,1;4,2", "--out", os.devnull) == (0, "", "")
+
+
 def test_map_points_files_are_bounded_by_size(capsys, monkeypatch, tmp_path) -> None:
     """The file is read up to one character past the cap, so no line can grow without bound."""
     monkeypatch.setattr(cli, "_MAX_POINTS_CHARS", 64)

@@ -29,6 +29,7 @@ from symgame.cartography import (
 )
 from symgame.equilibria import expected_payoff, mixed_nash, mixed_po, pure_nash_set, relaxed_po_set
 from symgame.payoff import (
+    CubePoint,
     GVector,
     PayoffMatrix,
     TrivialGame,
@@ -106,6 +107,24 @@ def test_normalize_cube_divides_by_the_max_abs_coordinate(P: PayoffMatrix) -> No
     point = normalize_cube(P).triple()
     assert point == tuple(x / m for x in g)
     assert _all_fractions(point)
+
+
+_near_one = st.sampled_from([Fraction(10**300 + k, 10**300) for k in (-1, 0, 1)] + [Fraction(1), 1])
+_coordinates = st.one_of(
+    _near_one, _near_one.map(lambda x: -x), st.fractions(-2, 2, max_denominator=10**6), st.integers(-2, 2),
+)
+
+
+@settings(deadline=None)
+@given(_coordinates, _coordinates, _coordinates)
+def test_cube_point_takes_exactly_the_triples_of_max_abs_one(ga, gb, gab) -> None:
+    if max(abs(ga), abs(gb), abs(gab)) == 1:
+        point = CubePoint(ga, gb, gab)
+        assert point.triple() == (ga, gb, gab)
+        assert _all_fractions(point.triple())
+    else:
+        with pytest.raises(ValueError, match="max-abs coordinate exactly 1"):
+            CubePoint(ga, gb, gab)
 
 
 def _expected(P: PayoffMatrix, p_row: Fraction, p_col: Fraction) -> tuple:

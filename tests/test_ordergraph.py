@@ -3,18 +3,25 @@
 from __future__ import annotations
 
 import random
+import re
+from fractions import Fraction
+
+from hypothesis import given, settings, strategies as st
 
 from symgame.equilibria import pure_nash_set, relaxed_po_set
 from symgame.ordergraph import (
     Arrow,
+    GraphNode,
+    OrderGraph,
     build_order_graph,
     graph_nash_set,
     graph_po_set,
     to_dot,
 )
-from symgame.payoff import PayoffMatrix, transpose_game
+from symgame.payoff import POSITIONS, PayoffMatrix, transpose_game
 from symgame.taxonomy import CLASS_TABLE, enumerate_ordinal_games
 
+from test_kernel import games
 from test_payoff import random_matrix
 
 PD = PayoffMatrix(3, 1, 4, 2)
@@ -191,3 +198,57 @@ def test_dot_fractional_coordinates_render_as_floats() -> None:
     dot = to_dot(build_order_graph(PayoffMatrix("1/2", 0, 1, "1/4")))
     assert 'pos="0.25,0.25!"' in dot
     assert "1/2" in dot  # labels keep exact values
+
+
+# ---------------------------------------------------------------------------
+# The graph against its first, entry-by-entry definitions
+
+
+def _arrow_by_definition(first, second, first_value, second_value, owner) -> Arrow:
+    if first_value == second_value:
+        return Arrow(first, second, owner, True)
+    if first_value > second_value:
+        return Arrow(second, first, owner, False)
+    return Arrow(first, second, owner, False)
+
+
+def _graph_by_entries(P: PayoffMatrix) -> OrderGraph:
+    """One ``P.entry`` call per value: node (i, j) at (P[j][i], P[i][j]), then each switch's arrows."""
+    nodes = tuple(GraphNode((i, j), P.entry(j, i), P.entry(i, j), f"pos_{i}{j}") for i, j in POSITIONS)
+    nash, pareto = [], []
+    for j in (0, 1):  # row player's switches: (0,j) <-> (1,j)
+        nash.append(_arrow_by_definition((0, j), (1, j), P.entry(0, j), P.entry(1, j), "row"))
+        pareto.append(_arrow_by_definition((0, j), (1, j), P.entry(j, 0), P.entry(j, 1), "row"))
+    for i in (0, 1):  # column player's switches: (i,0) <-> (i,1)
+        nash.append(_arrow_by_definition((i, 0), (i, 1), P.entry(0, i), P.entry(1, i), "col"))
+        pareto.append(_arrow_by_definition((i, 0), (i, 1), P.entry(i, 0), P.entry(i, 1), "col"))
+    return OrderGraph(P, nodes, tuple(nash), tuple(pareto))
+
+
+def _adjacent_sinks(arrows) -> frozenset:
+    """Positions whose adjacent arrows all point at them or are double."""
+    return frozenset(
+        pos for pos in POSITIONS
+        if all(arr.double or arr.head == pos for arr in arrows if pos in (arr.tail, arr.head))
+    )
+
+
+@settings(deadline=None)
+@given(games)
+def test_graph_and_sinks_match_their_entry_by_entry_definitions(P: PayoffMatrix) -> None:
+    g = build_order_graph(P)
+    assert g == _graph_by_entries(P)
+    assert graph_nash_set(g) == _adjacent_sinks(g.nash_arrows) == pure_nash_set(P)
+    assert graph_po_set(g) == _adjacent_sinks(g.pareto_arrows) == relaxed_po_set(P)
+
+
+_huge = st.builds(Fraction, st.integers(-10**300, 10**300), st.integers(1, 10**300))
+_wide = st.one_of(_huge, st.fractions(-100, 100, max_denominator=10**6), st.integers(-10**300, 10**300))
+
+
+@settings(deadline=None)
+@given(st.tuples(_wide, _wide, _wide, _wide))
+def test_dot_positions_are_the_floats_of_the_coordinates(entries) -> None:
+    g = build_order_graph(PayoffMatrix(*entries))
+    positions = re.findall(r'pos="([^,"]+),([^!"]+)!"', to_dot(g))
+    assert positions == [(format(float(n.x), "g"), format(float(n.y), "g")) for n in g.nodes]
