@@ -55,20 +55,17 @@ class OrderGraph:
     pareto_arrows: tuple
 
 
-def _arrow(first: Position, second: Position, first_value, second_value, owner: str) -> Arrow:
-    if first_value == second_value:
-        return Arrow(first, second, owner, True)
-    if first_value > second_value:
-        return Arrow(second, first, owner, False)
-    return Arrow(first, second, owner, False)
-
-
 # The row player's switches (0,j) <-> (1,j), then the column player's (i,0) <-> (i,1).
-_FIRST = ((0, 0), (0, 1), (0, 0), (1, 0))
-_SECOND = ((1, 0), (1, 1), (0, 1), (1, 1))
-_OWNERS = ("row", "row", "col", "col")
+_EDGES = (((0, 0), (1, 0), "row"), ((0, 1), (1, 1), "row"), ((0, 0), (0, 1), "col"), ((1, 0), (1, 1), "col"))
+# Each edge's three possible arrows, indexed by the _order of the values at its two ends.
+_ARROWS = tuple((Arrow(u, v, o, False), Arrow(u, v, o, True), Arrow(v, u, o, False)) for u, v, o in _EDGES)
 _NAMES = tuple(f"pos_{i}{j}" for i, j in POSITIONS)
 _ALL = frozenset(POSITIONS)
+
+
+def _order(x: Fraction, y: Fraction) -> int:
+    """0 when x < y, 1 when x == y (a double arrow), 2 when x > y (the arrow turns round)."""
+    return 0 if x < y else 1 if x == y else 2
 
 
 def build_order_graph(P: PayoffMatrix) -> OrderGraph:
@@ -76,10 +73,11 @@ def build_order_graph(P: PayoffMatrix) -> OrderGraph:
     a, b, c, d = P.entries()
     # Node (i, j) sits at (P[j][i], P[i][j]): the column player's payoff, then the row player's.
     nodes = tuple(map(GraphNode, POSITIONS, (a, c, b, d), (a, b, c, d), _NAMES))
-    # A Nash arrow compares its owner's payoffs at the two ends, a Pareto arrow the other player's.
-    nash = tuple(map(_arrow, _FIRST, _SECOND, (a, b, a, b), (c, d, c, d), _OWNERS))
-    pareto = tuple(map(_arrow, _FIRST, _SECOND, (a, c, a, c), (b, d, b, d), _OWNERS))
-    return OrderGraph(P, nodes, nash, pareto)
+    # A Nash arrow compares its owner's payoffs at the edge's ends, (a, c) or (b, d); a Pareto
+    # arrow the other player's, (a, b) or (c, d).  Each pair is compared once.
+    ac, bd, ab, cd = _order(a, c), _order(b, d), _order(a, b), _order(c, d)
+    e0, e1, e2, e3 = _ARROWS
+    return OrderGraph(P, nodes, (e0[ac], e1[bd], e2[ac], e3[bd]), (e0[ab], e1[cd], e2[ab], e3[cd]))
 
 
 def _sinks(arrows: tuple) -> PositionSet:
