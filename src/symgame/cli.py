@@ -398,7 +398,15 @@ def _stderr(line: str) -> None:
 class _Parser(argparse.ArgumentParser):
     """Reports a usage error as one ``error:`` line; subparsers share the class."""
 
+    def parse_known_args(self, args=None, namespace=None):
+        self._args = sys.argv[1:] if args is None else list(args)  # what an error may show
+        return super().parse_known_args(self._args, namespace)
+
     def error(self, message):
+        # argparse shows an argument, or its value after "=", raw or as its repr: cut each as _quote does
+        values = {v for arg in self._args for v in (arg, arg.partition("=")[2]) if len(v) > 64}
+        for value in sorted(values, key=len, reverse=True):  # an argument before the value in it
+            message = message.replace(repr(value), _quote(value)).replace(value, value[:64] + "...")
         _stderr(f"error: {message}")  # Python 3.10's argparse fails on a closed stderr
         sys.exit(2)
 

@@ -50,12 +50,11 @@ class TrivialGame(ValueError):
     """Raised when an operation needs a non-constant payoff matrix."""
 
 
-#: Text values are bounded before ``Fraction`` parses them, so that hostile
-#: input cannot build huge integers.
+#: Text values are literals that ``Fraction`` reads alike on every supported Python (3.10's grammar: no "_"
+#: and no spaces around "/"), bounded before it parses them so that hostile input cannot build huge integers.
 _TEXT_BOUNDS = "text must be at most 64 characters, with |exponent| <= 300 and |value| <= 1e300"
-_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)")
+_LITERAL = re.compile(r"\s*[-+]?(?=\.?\d)\d*(?:/\d+|(?:\.\d*)?(?:[eE](?P<exp>[-+]?\d+))?)\s*")
 _PLAIN = re.compile(r"(-?[0-9]+)(?:/(0*[1-9][0-9]*)|\.([0-9]+))?")  # n, p/q (q != 0), d.dd
-_MAX_MAGNITUDE = 10 ** 300
 
 
 def _quote(value: object) -> str:
@@ -67,8 +66,8 @@ def _quote(value: object) -> str:
 def _as_fraction(value: Rational, what: str = "payoff") -> Fraction:
     """Coerce an input value to Fraction, converting decimal strings exactly.
 
-    Booleans are rejected.  Strings hold at most 64 characters, a decimal
-    exponent of at most 300 and a value of at most 10**300 in absolute value.
+    Booleans are rejected.  Strings are ``_LITERAL`` matches of at most 64 characters,
+    exponent at most 300 and value at most 10**300 in absolute value.
     """
     if isinstance(value, str):  # first: isinstance(str, Fraction) is an ABC check
         plain = len(value) <= 64 and _PLAIN.fullmatch(value)
@@ -77,18 +76,18 @@ def _as_fraction(value: Rational, what: str = "payoff") -> Fraction:
             if decimals:
                 return Fraction(int(whole + decimals), 10 ** len(decimals))
             return Fraction(int(whole), int(den)) if den else Fraction(int(whole))
-        exponent = _EXPONENT.search(value)
-        if len(value) > 64 or exponent and abs(int(exponent.group(1))) > 300:
+        literal = _LITERAL.fullmatch(value)
+        if len(value) > 64 or literal and abs(int(literal["exp"] or 0)) > 300:
             raise ValueError(f"bad {what} value {_quote(value)}: {_TEXT_BOUNDS}")
     elif isinstance(value, Fraction):
         return value
-    elif isinstance(value, bool):
+    if isinstance(value, bool) or isinstance(value, str) and not literal:
         raise ValueError(f"bad {what} value {_quote(value)}")
     try:
         result = Fraction(value)
     except (ValueError, ZeroDivisionError, TypeError, OverflowError) as exc:
         raise ValueError(f"bad {what} value {_quote(value)}") from exc
-    if isinstance(value, str) and abs(result.numerator) > _MAX_MAGNITUDE * result.denominator:
+    if isinstance(value, str) and abs(result.numerator) > 10 ** 300 * result.denominator:
         raise ValueError(f"bad {what} value {_quote(value)}: {_TEXT_BOUNDS}")
     return result
 
@@ -126,12 +125,6 @@ class PayoffMatrix:
 
     def entries(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
         return (self.a, self.b, self.c, self.d)
-
-    def rows(self) -> tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]]:
-        return ((self.a, self.b), (self.c, self.d))
-
-    def is_constant(self) -> bool:
-        return self.a == self.b == self.c == self.d
 
     @cached_property
     def _scaled(self) -> tuple[int, int, int, int, int]:

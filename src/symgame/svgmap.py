@@ -68,16 +68,14 @@ def _region_elements() -> tuple:
         for vertex, position in zip(region.vertices, region.triangle):
             labels.setdefault(position, vertex.matrix)
     for (u, v), matrix in sorted(labels.items()):
-        rows = matrix.rows()
-        top = " ".join(str(x) for x in rows[0])
-        bottom = " ".join(str(x) for x in rows[1])
+        a, b, c, d = matrix.entries()
         x, y = _fmt(u), _fmt(-v)
         parts.append(
             f'  <text x="{x}" y="{y}" font-size="0.24" text-anchor="middle" '
             f'font-family="monospace" stroke="white" stroke-width="0.05" '
             f'paint-order="stroke">'
-            f'<tspan x="{x}" dy="-0.04">{top}</tspan>'
-            f'<tspan x="{x}" dy="0.26">{bottom}</tspan>'
+            f'<tspan x="{x}" dy="-0.04">{a} {b}</tspan>'
+            f'<tspan x="{x}" dy="0.26">{c} {d}</tspan>'
             f"</text>"
         )
     return tuple(parts)

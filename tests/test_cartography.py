@@ -89,7 +89,7 @@ def test_region_of_rejects_constant() -> None:
 @settings(deadline=None)
 @given(games)
 def test_region_of_matches_sort_oracle(P: PayoffMatrix) -> None:
-    assume(not P.is_constant())
+    assume(len(set(P.entries())) > 1)
     entries = dict(zip(LABELS, P.entries()))
     tied = tuple(
         (x, y) for x, y in itertools.combinations(LABELS, 2) if entries[x] == entries[y]
@@ -256,7 +256,7 @@ def test_decompose_negative_entries_example() -> None:
 @settings(deadline=None)
 @given(games)
 def test_decompose_properties_on_random_games(P: PayoffMatrix) -> None:
-    assume(not P.is_constant())
+    assume(len(set(P.entries())) > 1)
     dec = decompose(P)
     assert reconstruct(dec) == P
     assert dec.trivial_offset == min(P.entries())
@@ -281,11 +281,20 @@ def test_decompose_boundary_resolves_to_lowest_region() -> None:
     rng = random.Random(82)
     for _ in range(100):
         P = random_matrix(rng, span=6)
-        if P.is_constant() or len(set(P.entries())) == 4:
+        if len(set(P.entries())) in (1, 4):
             continue
         dec = decompose(P)
         assert all(w >= 0 for w in dec.weights)
         assert reconstruct(dec) == P
+    # Every weak order of four entries, strict or tied: the lowest adjacent region.
+    games = [PayoffMatrix(*e) for e in itertools.product(range(4), repeat=4) if len(set(e)) > 1]
+    assert len(games) == 252
+    for P in games:
+        try:
+            lowest = region_of(P).id
+        except BoundaryGame as exc:
+            lowest = min(exc.adjacent_region_ids)
+        assert decompose(P).region.id == lowest, P
 
 
 def test_decompose_rejects_constant() -> None:

@@ -263,7 +263,16 @@ def test_fractions_range_errors_name_the_flag(capsys, arg) -> None:
     assert (code, out, err) == (2, "", f"error: {FRACTIONS_RANGE_ERRORS[arg]}\n")
 
 
-@pytest.mark.parametrize("kind", ["points-line", "trajectory-spec", "json-array"])
+#: Usage errors that argparse reports, each on a 5,000-digit value.
+LONG_USAGE_ERRORS = {
+    "samples-value": ("fractions", "--samples", "9" * 5000),
+    "workers-value": ("fractions", "--workers", "9" * 5000),
+    "unknown-command": ("9" * 5000,),
+    "extra-argument": ("census", "9" * 5000),
+}
+
+
+@pytest.mark.parametrize("kind", ["points-line", "trajectory-spec", "json-array", *LONG_USAGE_ERRORS])
 def test_error_lines_quote_a_bounded_prefix_of_the_input(capsys, tmp_path, kind) -> None:
     if kind == "points-line":
         points = tmp_path / "points.txt"
@@ -271,12 +280,18 @@ def test_error_lines_quote_a_bounded_prefix_of_the_input(capsys, tmp_path, kind)
         argv = ("map", "--points", str(points))
     elif kind == "trajectory-spec":
         argv = ("map", "--trajectory=" + "1;" * 20_000)  # 40 KB
-    else:
+    elif kind == "json-array":
         argv = ("classify", "--", '{"payoff": [[[' + ", ".join(["1"] * 5000) + "], 0], [2, 3]]}")
-    code, out, err = run_cli(capsys, *argv)
+    else:
+        argv = LONG_USAGE_ERRORS[kind]
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # argparse's usage errors exit from the parser
+        code = exc.code
+    out, err = capsys.readouterr()
     assert code == 2 and out == ""
     assert err.startswith("error:") and err.count("\n") == 1
-    assert len(err.encode()) < 200 and "..." in err
+    assert len(err.encode()) < 200 and "..." in err and "9" * 65 not in err
 
 
 def test_classify_accepts_literals_at_the_bounds(capsys) -> None:

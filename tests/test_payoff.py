@@ -56,10 +56,8 @@ def test_from_rows_shape_checks() -> None:
 
 def test_entry_indexing_matches_rows() -> None:
     P = PayoffMatrix(1, 2, 3, 4)
-    assert [[P.entry(i, j) for j in (0, 1)] for i in (0, 1)] == [list(r) for r in P.rows()]
-    assert min(P.entries()) == 1
-    assert not P.is_constant()
-    assert PayoffMatrix.constant(Fraction(5, 3)).is_constant()
+    assert [P.entry(i, j) for i in (0, 1) for j in (0, 1)] == list(P.entries()) == [1, 2, 3, 4]
+    assert PayoffMatrix.constant(Fraction(5, 3)).entries() == (Fraction(5, 3),) * 4
 
 
 def test_linear_arithmetic() -> None:
@@ -192,18 +190,28 @@ def test_matrices_from_lines_skips_blanks_and_comments() -> None:
         matrices_from_lines(["1,1;1,1", "nonsense"])
 
 
+_BOUNDS = "text must be at most 64 characters, with |exponent| <= 300 and |value| <= 1e300"
+
+#: The literals Python 3.10's ``Fraction`` reads, which 3.11-3.13 read the
+#: same way: optional spaces and sign, then p/q or a decimal with an exponent.
+_SHARED_GRAMMAR = re.compile(r"\s*[-+]?(?:\d+/\d+|(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][-+]?\d+)?)\s*")
+
+
 def _bounded_fraction(text: str) -> Fraction:
-    """``Fraction(text)`` under the bounds on text values, decided on Fractions: the reference."""
-    bounds = "text must be at most 64 characters, with |exponent| <= 300 and |value| <= 1e300"
-    exponent = re.search(r"[eE]([-+]?\d+(?:_\d+)*)", text)
-    if len(text) > 64 or exponent and abs(int(exponent.group(1))) > 300:
-        raise ValueError(f"bad payoff value {_quote(text)}: {bounds}")
+    """``Fraction(text)`` in the shared grammar and under the bounds on text values: the reference."""
+    if len(text) > 64:
+        raise ValueError(f"bad payoff value {_quote(text)}: {_BOUNDS}")
+    if not _SHARED_GRAMMAR.fullmatch(text):
+        raise ValueError(f"bad payoff value {_quote(text)}")
+    exponent = re.search(r"[eE]([-+]?\d+)", text)
+    if exponent and abs(int(exponent.group(1))) > 300:
+        raise ValueError(f"bad payoff value {_quote(text)}: {_BOUNDS}")
     try:
         result = Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"bad payoff value {_quote(text)}") from exc
     if abs(result) > 10 ** 300:
-        raise ValueError(f"bad payoff value {_quote(text)}: {bounds}")
+        raise ValueError(f"bad payoff value {_quote(text)}: {_BOUNDS}")
     return result
 
 
@@ -217,7 +225,7 @@ def _outcome(convert, text: str):
 _EDGE_LITERALS = (
     "", "+3", "1_0", "\u0663", "\u00b2", "3/0", "3/00", "5.", "-.5", "-0.0", "-0", "1/-2",
     "--1", "/", "0x10", " 3", "3 ", "1e300", "-1e300", "1e-300", "1e301", "1E-301", "2e300",
-    "1" * 64, "1" * 65, "-" + "9" * 63, "9" * 62 + ".5", "9" * 62 + "/7", "9" * 64 + "/1",
+    "2 / 3", "1_000", "1" * 64, "1" * 65, "-" + "9" * 63, "9" * 62 + ".5", "9" * 62 + "/7", "9" * 64 + "/1",
 )
 
 
@@ -232,14 +240,37 @@ def _edge_examples(test):
 @given(st.one_of(
     # Signs, underscores, whitespace, non-ASCII digits, slashes, points and exponents.
     st.from_regex(
-        r"\A\s?[-+]?[0-9_\u0663\u00b2]{0,6}(?:[./][0-9_\u0663]{0,4})?(?:[eE][-+]?[0-9_]{1,4})?\s?\Z"
+        r"\A\s?[-+]?[0-9_\u0663\u00b2]{0,6}(?:(?:\.| ?/ ?)[0-9_\u0663]{0,4})?(?:[eE][-+]?[0-9_]{1,4})?\s?\Z"
     ),
     # Around the 64-character cut.
     st.from_regex(r"\A-?[0-9]{60,66}(?:[./][0-9]{1,2})?\Z"),
 ))
 def test_as_fraction_matches_fraction_under_the_bounds(text) -> None:
-    """Every literal, plain or not, converts to Fraction's value or fails with the same message."""
+    """A literal of the shared grammar converts to Fraction's value, any other fails; same messages."""
     assert _outcome(_as_fraction, text) == _outcome(_bounded_fraction, text)
+
+
+#: Each literal and what it reads as on every supported Python: a value, or
+#: None for a rejection outside the grammar, or "bounds" for one over the bounds.
+LITERAL_OUTCOMES = {
+    "1_0": None, "1_000": None, "2 / 3": None, "2/ 3": None, "\u00b2": None,
+    " 3 ": Fraction(3), "+3": Fraction(3), ".5": Fraction(1, 2), "5.": Fraction(5),
+    "-0": Fraction(0), "2/3": Fraction(2, 3), "1E+5": Fraction(100_000),
+    "1e300": Fraction(10 ** 300), "\u0663": Fraction(3),
+    "2e300": "bounds", "1e301": "bounds",
+}
+
+
+@pytest.mark.parametrize("text", LITERAL_OUTCOMES)
+def test_payoff_literals_read_the_same_on_every_python(text) -> None:
+    expected = LITERAL_OUTCOMES[text]
+    if isinstance(expected, Fraction):
+        assert _as_fraction(text) == expected
+    else:
+        message = f"bad payoff value {text!r}" + (f": {_BOUNDS}" if expected else "")
+        with pytest.raises(ValueError) as excinfo:
+            _as_fraction(text)
+        assert str(excinfo.value) == message
 
 
 def test_quote_keeps_64_characters_whole_and_cuts_65() -> None:
