@@ -41,14 +41,12 @@ import numpy as np
 
 from .payoff import (
     PayoffMatrix,
-    CubePoint,
     TrivialGame,
     _cube_ints,
     g_transform,
 )
 
 __all__ = [
-    "ALL_ORDERINGS",
     "BoundaryGame",
     "CANONICAL_MATRICES",
     "CanonicalMatrix",
@@ -64,13 +62,9 @@ __all__ = [
     "reconstruct",
     "region_of",
     "trajectory",
-    "unfold",
 ]
 
 LABELS = ("a", "b", "c", "d")
-
-#: All strict orderings of the four entries, largest first; index = region id.
-ALL_ORDERINGS = tuple(itertools.permutations(LABELS))
 
 # The entry pairs (x, y), x before y in LABELS, whose differences x-y make up a sign vector, in order.
 _PAIRS = (("a", "c"), ("b", "d"), ("a", "b"), ("c", "d"), ("a", "d"), ("b", "c"))
@@ -209,7 +203,8 @@ def _region(idx: int, ordering: tuple) -> ElementaryRegion:
     return ElementaryRegion(idx, ordering, signs, vertices, triangle)
 
 
-REGIONS = tuple(_region(idx, o) for idx, o in enumerate(ALL_ORDERINGS))
+#: One region per strict ordering of the four entries, largest first, in permutation order.
+REGIONS = tuple(_region(idx, o) for idx, o in enumerate(itertools.permutations(LABELS)))
 # 6-bit sign code -> region id; the other 40 codes belong to no strict ordering.
 _REGION_ID_BY_CODE = {_sign_code(*(s > 0 for s in r.sign_vector)): r.id for r in REGIONS}
 
@@ -309,14 +304,6 @@ def _unfold(g, m) -> MapPoint:
     """The map point of g on the surface of the cube of half-side m, scaled to the unit cube."""
     face_tag, to_plane = _CELLS[_cell(*g, m)]
     return MapPoint(*(Fraction(x, m) for x in to_plane(*g, m)), face_tag)
-
-
-def unfold(cp: CubePoint) -> MapPoint:
-    """Unfold a cube-surface point into the cross layout, exactly.
-
-    ``_CELLS`` lists the layout and ``_cell`` the rule for edges and corners.
-    """
-    return _unfold(cp.triple(), 1)
 
 
 def map_point(P: PayoffMatrix) -> MapPoint:

@@ -49,6 +49,7 @@ from .ordergraph import build_order_graph, to_dot
 from .payoff import (
     PayoffMatrix,
     TrivialGame,
+    _INTEGER,
     _quote,
     g_transform,
     matrices_from_lines,
@@ -236,6 +237,13 @@ def _matrix_arg(text: str) -> PayoffMatrix:
     return parse_matrix(stripped)
 
 
+def _count(text: str) -> int:
+    """A count on the command line: an integer payoff literal of at most 64 characters, so no "_"."""
+    if len(text) > 64 or not _INTEGER.fullmatch(text):
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")  # argparse's words for int()
+    return int(text)
+
+
 def _parse_trajectory_spec(text: str):
     parts = text.split(";")
     if len(parts) != 5:
@@ -246,8 +254,8 @@ def _parse_trajectory_spec(text: str):
     start = parse_matrix(";".join(parts[0:2]))
     end = parse_matrix(";".join(parts[2:4]))
     try:
-        n = int(parts[4])
-    except ValueError as exc:
+        n = _count(parts[4])
+    except argparse.ArgumentTypeError as exc:
         raise ValueError(f"bad sample count {_quote(parts[4])} in trajectory spec") from exc
     if not 2 <= n <= _MAX_TRAJECTORY_SAMPLES:  # a negative count must not offset the total
         raise ValueError(f"trajectory sample count must be from 2 to {_MAX_TRAJECTORY_SAMPLES:,}")
@@ -402,6 +410,14 @@ class _Parser(argparse.ArgumentParser):
         self._args = sys.argv[1:] if args is None else list(args)  # what an error may show
         return super().parse_known_args(self._args, namespace)
 
+    def _get_values(self, action, arg_strings):
+        # Python 3.10-3.12 drop an option's value "--" (as in --samples=--) and give it [], a traceback later
+        if action.option_strings and arg_strings == ["--"]:
+            value = self._get_value(action, "--")
+            self._check_value(action, value)
+            return value
+        return super()._get_values(action, arg_strings)
+
     def error(self, message):
         # argparse shows an argument, or its value after "=", raw or as its repr: cut each as _quote does
         values = {v for arg in self._args for v in (arg, arg.partition("=")[2]) if len(v) > 64}
@@ -435,14 +451,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_map)
 
     p = sub.add_parser("fractions", help="Monte Carlo estimate of region and class measures")
-    p.add_argument("--samples", type=int, default=1_000_000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="independent sample streams; output is deterministic per (seed, workers)",
-    )
+    p.add_argument("--samples", type=_count, default=1_000_000)
+    p.add_argument("--seed", type=_count, default=0)
+    streams = "independent sample streams; output is deterministic per (seed, workers)"
+    p.add_argument("--workers", type=_count, default=1, help=streams)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(func=_cmd_fractions)
 

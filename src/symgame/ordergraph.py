@@ -36,7 +36,6 @@ class GraphNode:
     position: Position
     x: Fraction  # column player's payoff
     y: Fraction  # row player's payoff
-    name: str  # stable DOT identifier, e.g. "pos_01"
 
 
 @dataclass(frozen=True)
@@ -59,7 +58,6 @@ class OrderGraph:
 _EDGES = (((0, 0), (1, 0), "row"), ((0, 1), (1, 1), "row"), ((0, 0), (0, 1), "col"), ((1, 0), (1, 1), "col"))
 # Each edge's three possible arrows, indexed by the _order of the values at its two ends.
 _ARROWS = tuple((Arrow(u, v, o, False), Arrow(u, v, o, True), Arrow(v, u, o, False)) for u, v, o in _EDGES)
-_NAMES = tuple(f"pos_{i}{j}" for i, j in POSITIONS)
 _ALL = frozenset(POSITIONS)
 
 
@@ -72,7 +70,7 @@ def build_order_graph(P: PayoffMatrix) -> OrderGraph:
     """Construct nodes and both arrow families for a game."""
     a, b, c, d = P.entries()
     # Node (i, j) sits at (P[j][i], P[i][j]): the column player's payoff, then the row player's.
-    nodes = tuple(map(GraphNode, POSITIONS, (a, c, b, d), (a, b, c, d), _NAMES))
+    nodes = tuple(map(GraphNode, POSITIONS, (a, c, b, d), (a, b, c, d)))
     # A Nash arrow compares its owner's payoffs at the edge's ends, (a, c) or (b, d); a Pareto
     # arrow the other player's, (a, b) or (c, d).  Each pair is compared once.
     ac, bd, ab, cd = _order(a, c), _order(b, d), _order(a, b), _order(c, d)
@@ -112,7 +110,7 @@ def to_dot(g: OrderGraph, simplified: bool = False) -> str:
         shape = ", shape=doublecircle" if node.position in ne else ""
         label = f"({i},{j})\\n{node.y}, {node.x}"
         (p, q), (r, t) = node.x.as_integer_ratio(), node.y.as_integer_ratio()
-        lines.append(f'  {node.name} [label="{label}", pos="{p / q:g},{r / t:g}!"{shape}];')
+        lines.append(f'  pos_{i}{j} [label="{label}", pos="{p / q:g},{r / t:g}!"{shape}];')
     if not simplified:
         for style, arrows in (("solid", g.nash_arrows), ("dashed", g.pareto_arrows)):
             for arr in arrows:

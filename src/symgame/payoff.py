@@ -55,6 +55,7 @@ class TrivialGame(ValueError):
 _TEXT_BOUNDS = "text must be at most 64 characters, with |exponent| <= 300 and |value| <= 1e300"
 _LITERAL = re.compile(r"\s*[-+]?(?=\.?\d)\d*(?:/\d+|(?:\.\d*)?(?:[eE](?P<exp>[-+]?\d+))?)\s*")
 _PLAIN = re.compile(r"(-?[0-9]+)(?:/(0*[1-9][0-9]*)|\.([0-9]+))?")  # n, p/q (q != 0), d.dd
+_INTEGER = re.compile(r"\s*[-+]?\d+\s*")  # _LITERAL without "/", "." or an exponent: the CLI's counts
 
 
 def _quote(value: object) -> str:

@@ -14,7 +14,6 @@ from hypothesis import assume, given, settings, strategies as st
 
 from symgame import cartography
 from symgame.cartography import (
-    ALL_ORDERINGS,
     BoundaryGame,
     CANONICAL_DIRECTIONS,
     CANONICAL_MATRICES,
@@ -26,7 +25,6 @@ from symgame.cartography import (
     reconstruct,
     region_of,
     trajectory,
-    unfold,
 )
 from symgame.payoff import (
     CubePoint,
@@ -38,6 +36,7 @@ from symgame.payoff import (
     normalize_cube,
 )
 
+from test_kernel import _unfold
 from test_payoff import random_matrix
 
 
@@ -65,7 +64,7 @@ def test_region_table_layout() -> None:
     assert [r.id for r in REGIONS] == list(range(24))
     assert len({r.ordering for r in REGIONS}) == 24
     assert REGIONS[0].ordering == ("a", "b", "c", "d")
-    assert ALL_ORDERINGS[5] == REGIONS[5].ordering
+    assert REGIONS[5].ordering == tuple(itertools.permutations(LABELS))[5]
 
 
 def test_representative_lies_in_its_region() -> None:
@@ -98,7 +97,7 @@ def test_region_of_matches_sort_oracle(P: PayoffMatrix) -> None:
     # region's ordering leaves it unchanged.
     adjacent = tuple(
         k
-        for k, ordering in enumerate(ALL_ORDERINGS)
+        for k, ordering in enumerate(region.ordering for region in REGIONS)
         if sorted(ordering, key=entries.__getitem__, reverse=True) == list(ordering)
     )
     if tied:
@@ -400,7 +399,7 @@ def test_decompose_commutes_with_permutations() -> None:
 
 
 def test_unfold_face_formulas() -> None:
-    assert unfold(CubePoint(0, Fraction(1, 2), 1)) == unfold(CubePoint(0, "1/2", 1))
+    assert _unfold(CubePoint(0, Fraction(1, 2), 1)) == _unfold(CubePoint(0, "1/2", 1))
     cases = [
         ((0, Fraction(1, 2), 1), (0, Fraction(1, 2), "gab+")),
         ((1, Fraction(1, 2), Fraction(-1, 4)), (Fraction(9, 4), Fraction(1, 2), "ga+")),
@@ -413,33 +412,33 @@ def test_unfold_face_formulas() -> None:
         ((0, Fraction(-1, 2), -1), (0, Fraction(-7, 2), "gab-")),
     ]
     for triple, (u, v, face) in cases:
-        pt = unfold(CubePoint(*triple))
+        pt = _unfold(CubePoint(*triple))
         assert (pt.u, pt.v, pt.face_tag) == (u, v, face)
 
 
 def test_unfold_face_priority_on_edges() -> None:
     # Corners touch three faces; the tag comes from gab, then ga, then gb.
-    assert unfold(CubePoint(1, -1, 1)).face_tag == "gab+"
-    assert unfold(CubePoint(1, 1, -1)).face_tag == "gab-"
-    assert unfold(CubePoint(1, 1, 0)).face_tag == "ga+"
-    assert unfold(CubePoint(1, Fraction(1, 2), 0)).face_tag == "ga+"
-    bottom = unfold(CubePoint(0, 0, -1))
+    assert _unfold(CubePoint(1, -1, 1)).face_tag == "gab+"
+    assert _unfold(CubePoint(1, 1, -1)).face_tag == "gab-"
+    assert _unfold(CubePoint(1, 1, 0)).face_tag == "ga+"
+    assert _unfold(CubePoint(1, Fraction(1, 2), 0)).face_tag == "ga+"
+    bottom = _unfold(CubePoint(0, 0, -1))
     assert (bottom.u, bottom.v, bottom.face_tag) == (4, 0, "gab-")
 
 
 def test_unfold_is_continuous_across_kept_edges() -> None:
     # Faces that stay attached in the cross agree along their shared edge.
     for t in (Fraction(-3, 4), Fraction(-1, 3), 0, Fraction(2, 5), 1):
-        via_top = unfold(CubePoint(1, t, 1))
+        via_top = _unfold(CubePoint(1, t, 1))
         assert (via_top.u, via_top.v) == (1, t)  # gab+ square, right edge
-        near_arm = unfold(CubePoint(1, t, Fraction(99, 100)))
+        near_arm = _unfold(CubePoint(1, t, Fraction(99, 100)))
         assert (near_arm.u, near_arm.v) == (Fraction(101, 100), t)
-        via_gb = unfold(CubePoint(t, 1, 1))
+        via_gb = _unfold(CubePoint(t, 1, 1))
         assert (via_gb.u, via_gb.v) == (t, 1)
         if abs(t) < 1:
-            tip = unfold(CubePoint(1, t, -1))  # ga+ arm end meets its tip
+            tip = _unfold(CubePoint(1, t, -1))  # ga+ arm end meets its tip
             assert (tip.u, tip.v) == (3, t)
-            tip = unfold(CubePoint(t, 1, -1))
+            tip = _unfold(CubePoint(t, 1, -1))
             assert (tip.u, tip.v) == (t, 3)
 
 

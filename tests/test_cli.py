@@ -39,7 +39,11 @@ def _schema(name: str) -> dict:
 
 
 def run_cli(capsys, *argv):
-    code = main(list(argv))
+    """(exit code, stdout, stderr) of ``main(argv)``, counting a usage exit from the parser as a code."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -221,17 +225,27 @@ _MANY_POINTS = "<100,001 points>"
         ("fractions", "--samples", "1000000000000000"),
         ("fractions", "--samples", "1000000000", "--workers", "1000000000"),
         ("fractions", "--samples", "10", "--seed", "-1"),
+        ("fractions", "--samples=1_000"),
+        ("fractions", "--samples", "10", "--seed=0_1"),
+        ("fractions", "--samples", "10", "--workers=0_2"),
+        ("fractions", "--samples", "10", "--seed", "1" * 65),
+        ("fractions", "--samples=--"),
         ("map", "--trajectory=1,2;3,4;5,6;7,8;100001"),
         ("map", "--trajectory=1,2;3,4;5,6;7,8;1e3"),
         ("map", "--trajectory=1,2;3,4;5,6;7,8;60000", "--trajectory=4,3;2,1;1,2;3,4;40001"),
         ("map", "--trajectory=1,2;3,4;5,6;7,8;-5"),
+        ("map", "--trajectory=1,2;3,4;5,6;7,9;1_0"),
+        ("map", "--trajectory=--"),
         ("map", "--points", _MANY_POINTS),
     ],
     ids=[
         "json-bool", "exponent-high", "exponent-low", "json-exponent", "long-literal",
         "json-long-int", "magnitude", "json-infinity", "json-flat-array", "json-deep-nesting",
         "fractions-samples", "fractions-samples-huge", "fractions-workers", "fractions-seed",
+        "samples-underscore", "seed-underscore", "workers-underscore", "seed-65-digits",
+        "samples-dashes",
         "trajectory-samples", "trajectory-count", "trajectory-total", "trajectory-negative",
+        "trajectory-underscore", "trajectory-dashes",
         "map-markers",
     ],
 )
@@ -245,6 +259,22 @@ def test_classify_hostile_input_exits_2(capsys, tmp_path, argv) -> None:
     assert code == 2
     assert out == "" and err.startswith("error:") and err.count("\n") == 1
     assert "int_max_str_digits" not in err
+
+
+def test_counts_keep_their_sign_and_whitespace(capsys) -> None:
+    """Counts are integer payoff literals: a sign and whitespace around the digits read as before."""
+    assert run_cli(capsys, "fractions", "--samples=+10", "--seed= 3 ") == run_cli(
+        capsys, "fractions", "--samples=10", "--seed=3"
+    )
+
+
+def test_a_long_count_exits_2_whatever_the_int_digit_limit() -> None:
+    """A count is bounded by its length before it is parsed, not by ``sys.int_info``'s digit limit."""
+    argv = [sys.executable, "-m", "symgame", "fractions", "--samples", "10", "--seed", "7" * 5000]
+    env = {**_cli_env(), "PYTHONINTMAXSTRDIGITS": "0"}
+    result = subprocess.run(argv, capture_output=True, text=True, check=False, env=env, timeout=60)
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr.startswith("error: argument --seed: invalid int value: '") and result.stderr.count("\n") == 1
 
 
 #: One out-of-range value per ``fractions`` flag, and the error that names it.
@@ -284,11 +314,7 @@ def test_error_lines_quote_a_bounded_prefix_of_the_input(capsys, tmp_path, kind)
         argv = ("classify", "--", '{"payoff": [[[' + ", ".join(["1"] * 5000) + "], 0], [2, 3]]}")
     else:
         argv = LONG_USAGE_ERRORS[kind]
-    try:
-        code = main(list(argv))
-    except SystemExit as exc:  # argparse's usage errors exit from the parser
-        code = exc.code
-    out, err = capsys.readouterr()
+    code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
     assert err.startswith("error:") and err.count("\n") == 1
     assert len(err.encode()) < 200 and "..." in err and "9" * 65 not in err

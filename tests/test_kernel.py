@@ -25,7 +25,6 @@ from symgame.cartography import (
     reconstruct,
     region_of,
     trajectory,
-    unfold,
 )
 from symgame.equilibria import expected_payoff, mixed_nash, mixed_po, pure_nash_set, relaxed_po_set
 from symgame.payoff import (
@@ -211,6 +210,11 @@ def test_a_nudged_weight_fails_the_reconstruction_check(P, monkeypatch) -> None:
     assert cli.build_report(P)["decomposition"]["reconstruction_exact"] is False
 
 
+def _unfold(cp: CubePoint) -> MapPoint:
+    """The map point of a cube-surface point, through ``map_point`` on a game with that cube point."""
+    return map_point(inverse_g_transform(GVector(0, *cp.triple())))
+
+
 @settings(deadline=None)
 @given(games | _edge_and_corner_games(), games | _edge_and_corner_games(), st.integers(2, 12) | st.just(101))
 def test_trajectory_samples_match_the_fraction_interpolation(P0, P1, n) -> None:
@@ -225,7 +229,7 @@ def test_trajectory_samples_match_the_fraction_interpolation(P0, P1, n) -> None:
         except BoundaryGame:
             game_class = None
         assert (sample.t, sample.matrix, sample.trivial) == (t, M, trivial)
-        assert sample.point == (None if trivial else unfold(normalize_cube(M)))
+        assert sample.point == (None if trivial else _unfold(normalize_cube(M)))
         assert (sample.boundary, sample.game_class) == (not trivial and game_class is None, game_class)
         assert _all_fractions((sample.t, *sample.matrix.entries()))
         assert trivial or _all_fractions((sample.point.u, sample.point.v))
@@ -239,7 +243,7 @@ def test_map_point_unfolds_the_cube_point(P: PayoffMatrix) -> None:
             map_point(P)
         return
     point = map_point(P)
-    assert point == unfold(normalize_cube(P))
+    assert point == _unfold(normalize_cube(P))
     assert _all_fractions((point.u, point.v))
 
 

@@ -36,8 +36,8 @@ def test_nodes_sit_at_payoff_coordinates() -> None:
         (1, 0): (1, 4),
         (1, 1): (2, 2),
     }
-    names = {n.position: n.name for n in g.nodes}
-    assert names == {(0, 0): "pos_00", (0, 1): "pos_01", (1, 0): "pos_10", (1, 1): "pos_11"}
+    node_ids = [line.split()[0] for line in to_dot(g, simplified=True).splitlines()[3:-1]]
+    assert node_ids == ["pos_00", "pos_01", "pos_10", "pos_11"]  # DOT ids, in node order
 
 
 def test_arrow_inventory() -> None:
@@ -214,7 +214,7 @@ def _arrow_by_definition(first, second, first_value, second_value, owner) -> Arr
 
 def _graph_by_entries(P: PayoffMatrix) -> OrderGraph:
     """One ``P.entry`` call per value: node (i, j) at (P[j][i], P[i][j]), then each switch's arrows."""
-    nodes = tuple(GraphNode((i, j), P.entry(j, i), P.entry(i, j), f"pos_{i}{j}") for i, j in POSITIONS)
+    nodes = tuple(GraphNode((i, j), P.entry(j, i), P.entry(i, j)) for i, j in POSITIONS)
     nash, pareto = [], []
     for j in (0, 1):  # row player's switches: (0,j) <-> (1,j)
         nash.append(_arrow_by_definition((0, j), (1, j), P.entry(0, j), P.entry(1, j), "row"))
