@@ -242,8 +242,7 @@ _MANY_POINTS = "<100,001 points>"
         "json-bool", "exponent-high", "exponent-low", "json-exponent", "long-literal",
         "json-long-int", "magnitude", "json-infinity", "json-flat-array", "json-deep-nesting",
         "fractions-samples", "fractions-samples-huge", "fractions-workers", "fractions-seed",
-        "samples-underscore", "seed-underscore", "workers-underscore", "seed-65-digits",
-        "samples-dashes",
+        "samples-underscore", "seed-underscore", "workers-underscore", "seed-65-digits", "samples-dashes",
         "trajectory-samples", "trajectory-count", "trajectory-total", "trajectory-negative",
         "trajectory-underscore", "trajectory-dashes",
         "map-markers",
