@@ -359,7 +359,7 @@ def trajectory(P0: PayoffMatrix, P1: PayoffMatrix, n: int) -> tuple:
 # ---------------------------------------------------------------------------
 # Monte Carlo region measure
 
-_MC_BLOCK = 16_384  # samples per sampler call: the rows of each stream's one set of buffers
+_MC_BLOCK = 16_384  # samples per sampler call: the rows of each stream's one normals buffer
 
 
 @dataclass(frozen=True)
@@ -397,33 +397,28 @@ def _stream_code_counts(seed: int, worker: int, m: int, stop: threading.Event) -
     """The 64 sign-code counts of stream (seed, worker)'s first m samples; partial once stopped."""
     rng = np.random.default_rng([seed, worker])
     counts = np.zeros(64, dtype=np.int64)
-    size = min(_MC_BLOCK, m)
-    normals, negated, tests = np.empty((size, 3)), np.empty((2, size)), np.empty((6, size), bool)
+    normals = np.empty((min(_MC_BLOCK, m), 3))
     # Successive blocks continue the stream, so the block size changes
     # memory use but not the samples.
-    for k in (min(size, m - start) for start in range(0, m, size)):  # the block sizes
+    for start in range(0, m, _MC_BLOCK):
         if stop.is_set():
             break
-        # Signs are scale-invariant, so the explicit normalization cancels.
         # a-c = ga+gab, b-d = ga-gab, a-b = gb+gab, c-d = gb-gab, a-d = ga+gb
         # and b-c = ga-gb, each compared with 0 exactly as x > -y or x > y.
-        ga, gb, gab = rng.standard_normal(out=normals[:k]).T
-        minus_gab, minus_gb = np.negative(normals[:k, :0:-1].T, out=negated[:, :k])
-        pairs = ((ga, minus_gab), (ga, gab), (gb, minus_gab), (gb, gab), (ga, minus_gb), (ga, gb))
-        for (x, y), test in zip(pairs, tests[:, :k]):
-            np.greater(x, y, out=test)
-        counts += np.bincount(_sign_code(*tests[:, :k].view(np.uint8)), minlength=64)
+        ga, gb, gab = rng.standard_normal(out=normals[:m - start]).T
+        tests = (ga > -gab, ga > gab, gb > -gab, gb > gab, ga > -gb, ga > gb)
+        counts += np.bincount(_sign_code(*(t.view(np.uint8) for t in tests)), minlength=64)
     return counts
 
 
 def mc_region_fractions(n_samples: int, seed: int, n_workers: int = 1) -> MCRegionReport:
     """Estimate region and class measures from uniform sphere directions.
 
-    Directions are normalized iid standard normals; each sample is assigned
-    to its region by the exact sign pattern of the six entry differences,
-    then rolled up to taxonomy classes.  Samples are partitioned across
-    ``n_workers`` streams derived from (seed, worker index), so results are
-    reproducible for a fixed seed and worker count, on any number of threads.
+    Directions are iid standard normals.  Signs are scale-invariant, so each
+    sample is classified without normalizing, by the exact signs of its six
+    entry differences, then rolled up to taxonomy classes.  Samples are split
+    over ``n_workers`` streams derived from (seed, worker index), so results
+    are reproducible for a fixed seed and worker count, on any thread count.
     """
     from .taxonomy import REGION_ROW
 

@@ -9,6 +9,7 @@ import threading
 import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -628,6 +629,19 @@ def test_mc_counts_do_not_depend_on_the_block(monkeypatch) -> None:
         monkeypatch.setattr(cartography, "_MC_BLOCK", block)
         for workers, report in expected.items():
             assert mc_region_fractions(100_003, 4, workers).region_counts == report.region_counts
+
+
+@pytest.mark.parametrize("seed, worker, m", [(3, 0, 5_000), (3, 1, 20_000), (12345, 7, 16_385)])
+def test_mc_stream_regions_match_region_of(seed, worker, m) -> None:
+    """The sampler's six float tests put each drawn row in the region region_of gives it exactly."""
+    expected = [0] * 24
+    for row in np.random.default_rng([seed, worker]).standard_normal((m, 3)):
+        expected[region_of(inverse_g_transform(GVector(0, *map(Fraction, row)))).id] += 1
+    code_counts = cartography._stream_code_counts(seed, worker, m, threading.Event())
+    sampled = [0] * 24
+    for code in np.flatnonzero(code_counts):
+        sampled[cartography._REGION_ID_BY_CODE[code]] += int(code_counts[code])
+    assert sampled == expected
 
 
 @pytest.mark.parametrize(
