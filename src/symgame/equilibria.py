@@ -1,11 +1,13 @@
 """Pure and mixed equilibria, and the relaxed optimality dual.
 
-Everything here is a weak-inequality predicate over exact rationals, decided
-on integer numerators (``PayoffMatrix._scaled``).  The relaxed Pareto notion
-is deliberately the Nash condition of the transposed game: each player
-maximizes the *other's* payoff.  That duality makes the classification
-machinery symmetric, and it is independent of the standard
-(strict-domination) Pareto check, which is kept as an oracle.
+``pure_nash_set`` and ``relaxed_po_set`` are weak-inequality predicates and
+``mixed_nash`` and ``mixed_po`` test strict inequalities; all four, and the
+exact payoffs of ``expected_payoff``, are computed on integer numerators
+(``PayoffMatrix._scaled``).  The relaxed Pareto notion is deliberately the
+Nash condition of the transposed game: each player maximizes the *other's*
+payoff.  That duality makes the classification machinery symmetric, and it is
+independent of ``standard_pareto_set``, the textbook strict-domination check
+on the Fraction entries, which is kept as an oracle.
 """
 
 from __future__ import annotations

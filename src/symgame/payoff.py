@@ -22,7 +22,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Union
 
 __all__ = [
     "PayoffMatrix",
@@ -111,12 +111,6 @@ class PayoffMatrix:
             object.__setattr__(self, name, _as_fraction(getattr(self, name)))
 
     @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[Rational]]) -> "PayoffMatrix":
-        if len(rows) != 2 or any(len(r) != 2 for r in rows):
-            raise ValueError("payoff matrix must be 2x2")
-        return cls(rows[0][0], rows[0][1], rows[1][0], rows[1][1])
-
-    @classmethod
     def constant(cls, value: Rational) -> "PayoffMatrix":
         return cls(value, value, value, value)
 
@@ -130,7 +124,8 @@ class PayoffMatrix:
     @cached_property
     def _scaled(self) -> tuple[int, int, int, int, int]:
         """(q, q*a, q*b, q*c, q*d) in ints: the exact core decides ordering facts on these."""
-        return _common_denominator(self.a, self.b, self.c, self.d)
+        q = math.lcm(self.a.denominator, self.b.denominator, self.c.denominator, self.d.denominator)
+        return (q, *[v.numerator * (q // v.denominator) for v in (self.a, self.b, self.c, self.d)])
 
     # Linear-space arithmetic; handy for affine families t*P1 + (1-t)*P0.
     def __add__(self, other: "PayoffMatrix") -> "PayoffMatrix":
@@ -198,12 +193,6 @@ class CubePoint:
 
     def triple(self) -> tuple[Fraction, Fraction, Fraction]:
         return (self.ga, self.gb, self.gab)
-
-
-def _common_denominator(*values: Fraction) -> tuple[int, ...]:
-    """(q, q*v1, q*v2, ...), all ints, with q the lcm of the values' denominators."""
-    q = math.lcm(*(v.denominator for v in values))
-    return (q, *(v.numerator * (q // v.denominator) for v in values))
 
 
 def _signed_sums(w, x, y, z) -> tuple:
@@ -274,10 +263,11 @@ def matrix_from_json(obj: object) -> PayoffMatrix:
     """Build a matrix from the JSON form {"payoff": [[a, b], [c, d]]}."""
     if not isinstance(obj, dict) or "payoff" not in obj:
         raise ValueError("JSON matrix must be an object with a 'payoff' key")
-    payoff = obj["payoff"]
-    if not isinstance(payoff, (list, tuple)) or not all(isinstance(r, (list, tuple)) for r in payoff):
+    rows = obj["payoff"]
+    if not (isinstance(rows, (list, tuple)) and len(rows) == 2
+            and all(isinstance(r, (list, tuple)) and len(r) == 2 for r in rows)):
         raise ValueError("'payoff' must be a 2x2 array")
-    return PayoffMatrix.from_rows(payoff)
+    return PayoffMatrix(*rows[0], *rows[1])
 
 
 def matrices_from_lines(lines: Iterable[str]) -> list[PayoffMatrix]:

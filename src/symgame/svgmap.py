@@ -43,10 +43,6 @@ def _fmt(value) -> str:
     return "0" if text == "-0" else text
 
 
-def _xy(u, v) -> str:
-    return f"{_fmt(u)},{_fmt(-v)}"
-
-
 @functools.cache
 def _region_elements() -> tuple:
     """The 24 region polygons, then the vertex labels sorted by position."""
@@ -57,7 +53,7 @@ def _region_elements() -> tuple:
     labels = {}
     for region in REGIONS:
         k = REGION_ROW[region.id]
-        points = " ".join(_xy(u, v) for u, v in region.triangle)
+        points = " ".join(f"{_fmt(u)},{_fmt(-v)}" for u, v in region.triangle)
         name = CLASS_TABLE[k].display_name
         parts.append(
             f'  <polygon points="{points}" fill="{CLASS_COLORS[k]}" '

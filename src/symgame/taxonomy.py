@@ -38,7 +38,6 @@ __all__ = [
     "REGION_ROW",
     "census",
     "classify",
-    "enumerate_ordinal_games",
 ]
 
 
@@ -197,16 +196,9 @@ def classify(P: PayoffMatrix) -> Classification:
     )
 
 
-def enumerate_ordinal_games() -> tuple:
-    """The 24 games with entries {1,2,3,4}, one per region, in permutation order."""
-    import itertools
-
-    return tuple(PayoffMatrix(*perm) for perm in itertools.permutations((1, 2, 3, 4)))
-
-
 def census() -> dict:
-    """Class counts over the 24 ordinal games; must match triangle_count."""
+    """Class counts over the 24 ordinal games, the region representatives; must match triangle_count."""
     counts = {record: 0 for record in CLASS_TABLE}
-    for game in enumerate_ordinal_games():
-        counts[classify(game).game_class] += 1
+    for region in REGIONS:
+        counts[classify(region.representative()).game_class] += 1
     return counts

@@ -220,6 +220,7 @@ _MANY_POINTS = "<100,001 points>"
         ("classify", "--", "9" * 60 + "e300,1;2,3"),
         ("classify", "--", '{"payoff": [[Infinity, 0], [2, 3]]}'),
         ("classify", "--", '{"payoff": [1, 2]}'),
+        ("classify", "--", '{"payoff": [[1, 2], [3]]}'),
         ("classify", "--", '{"payoff": ' + "[" * 100_000),
         ("fractions", "--samples", "1000000001"),
         ("fractions", "--samples", "1000000000000000"),
@@ -240,7 +241,8 @@ _MANY_POINTS = "<100,001 points>"
     ],
     ids=[
         "json-bool", "exponent-high", "exponent-low", "json-exponent", "long-literal",
-        "json-long-int", "magnitude", "json-infinity", "json-flat-array", "json-deep-nesting",
+        "json-long-int", "magnitude", "json-infinity", "json-flat-array",
+        "json-short-row", "json-deep-nesting",
         "fractions-samples", "fractions-samples-huge", "fractions-workers", "fractions-seed",
         "samples-underscore", "seed-underscore", "workers-underscore", "seed-65-digits", "samples-dashes",
         "trajectory-samples", "trajectory-count", "trajectory-total", "trajectory-negative",

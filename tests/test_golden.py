@@ -4,11 +4,14 @@ The digests were recorded before the region table replaced the per-function
 region computations; any byte that changes in these outputs fails here.  The
 CSV digest and the counts of streams longer than one sampler block were
 recorded before the CSV writer and the block-wise sampler were rewritten.
+The plain ``classify`` report and ``ordergraph --simplified`` were recorded
+before ``census`` took its 24 games from ``REGIONS``.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import random
 from fractions import Fraction
 
@@ -16,7 +19,6 @@ from symgame.cartography import CANONICAL_MATRICES, map_point, mc_region_fractio
 from symgame.cli import main
 from symgame.payoff import PayoffMatrix
 from symgame.svgmap import render_map
-from symgame.taxonomy import enumerate_ordinal_games
 
 
 def _sha(text: str) -> str:
@@ -38,7 +40,7 @@ def _seeded_games() -> list:
 
 def _golden_games() -> list:
     return (
-        list(enumerate_ordinal_games())
+        [PayoffMatrix(*perm) for perm in itertools.permutations((1, 2, 3, 4))]
         + [v.matrix for v in CANONICAL_MATRICES.values()]
         + _seeded_games()
     )
@@ -71,16 +73,20 @@ def test_mc_region_counts_are_pinned() -> None:
 
 def test_cli_documents_are_pinned(capsys) -> None:
     digests = {}
-    for command in (("classify", "--json"), ("decompose",), ("ordergraph",)):
+    for command in (
+        ("classify", "--json"), ("classify",), ("decompose",),
+        ("ordergraph",), ("ordergraph", "--simplified"),
+    ):
         out = "".join(
-            _cli_stdout(capsys, command[0], *command[1:], "--", _matrix_text(P))
-            for P in _golden_games()
+            _cli_stdout(capsys, *command, "--", _matrix_text(P)) for P in _golden_games()
         )
-        digests[command[0]] = _sha(out)
+        digests[" ".join(command)] = _sha(out)
     assert digests == {
-        "classify": "77a68d50e7ff0e5934540d65dba6f3d0d7320da92bd278706abef278279b82ca",
+        "classify --json": "77a68d50e7ff0e5934540d65dba6f3d0d7320da92bd278706abef278279b82ca",
+        "classify": "5e963f58a955272142c81953fe9131937b61eabdfa3517ac967b38ca8c5765d3",
         "decompose": "dd158ae56db2d3735eef521c0f40834a2bb9d1505380e7e2aaf403e5213be304",
         "ordergraph": "ec678e65300e2660a099307ce92fb70b82f8a6643d7aac9fe64f632596fa5896",
+        "ordergraph --simplified": "760f05ac04949d7a2d2ed6283835278fdd7c9fcf098397e5762c5e10cadd7ac1",
     }
 
 

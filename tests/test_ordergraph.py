@@ -8,6 +8,7 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
+from symgame.cartography import REGIONS
 from symgame.equilibria import pure_nash_set, relaxed_po_set
 from symgame.ordergraph import (
     Arrow,
@@ -19,7 +20,7 @@ from symgame.ordergraph import (
     to_dot,
 )
 from symgame.payoff import POSITIONS, PayoffMatrix, transpose_game
-from symgame.taxonomy import CLASS_TABLE, enumerate_ordinal_games
+from symgame.taxonomy import CLASS_TABLE
 
 from test_kernel import games
 from test_payoff import random_matrix
@@ -124,7 +125,7 @@ def test_arrow_pairs_align_iff_edge_is_pareto_ranked() -> None:
 
 def test_graph_sets_match_predicates_everywhere() -> None:
     games = [row.example for row in CLASS_TABLE]
-    games += list(enumerate_ordinal_games())
+    games += [r.representative() for r in REGIONS]
     games.append(PayoffMatrix(4, 5, 1, 0))
     games.append(PayoffMatrix(2, 1, 2, 0))
     games.append(PayoffMatrix.constant(5))

@@ -46,14 +46,6 @@ def test_construction_rejects_junk() -> None:
         PayoffMatrix("3", "oops", 1, 2)
 
 
-def test_from_rows_shape_checks() -> None:
-    assert PayoffMatrix.from_rows([[1, 2], [3, 4]]) == PayoffMatrix(1, 2, 3, 4)
-    with pytest.raises(ValueError):
-        PayoffMatrix.from_rows([[1, 2, 3], [4, 5, 6]])
-    with pytest.raises(ValueError):
-        PayoffMatrix.from_rows([[1, 2]])
-
-
 def test_entry_indexing_matches_rows() -> None:
     P = PayoffMatrix(1, 2, 3, 4)
     assert [P.entry(i, j) for i in (0, 1) for j in (0, 1)] == list(P.entries()) == [1, 2, 3, 4]
@@ -177,10 +169,19 @@ def test_parse_matrix_coerces_each_literal_once(monkeypatch) -> None:
 
 def test_matrix_from_json() -> None:
     assert matrix_from_json({"payoff": [[3, 1], [4, 2]]}) == PayoffMatrix(3, 1, 4, 2)
+    assert matrix_from_json({"payoff": ((1, 2), [3, 4])}) == PayoffMatrix(1, 2, 3, 4)
     with pytest.raises(ValueError):
         matrix_from_json({"rows": [[3, 1], [4, 2]]})
-    with pytest.raises(ValueError):
-        matrix_from_json({"payoff": [[1, 2, 3], [4, 5, 6]]})
+
+
+def test_matrix_from_json_shape_checks() -> None:
+    for payoff in (
+        [[1, 2], [3]], [[1, 2]], [[1, 2], [3, 4], [5, 6]], [[1, 2, 3], [4, 5, 6]],
+        [1, 2, 3, 4], "1,2;3,4",
+    ):
+        with pytest.raises(ValueError) as info:
+            matrix_from_json({"payoff": payoff})
+        assert str(info.value) == "'payoff' must be a 2x2 array"
 
 
 def test_matrices_from_lines_skips_blanks_and_comments() -> None:

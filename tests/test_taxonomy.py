@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from symgame.cartography import BoundaryGame, REGIONS, region_of
+from symgame.cartography import BoundaryGame, REGIONS
 from symgame.equilibria import pure_nash_set, relaxed_po_set
 from symgame.payoff import PayoffMatrix, TrivialGame, transpose_game
 from symgame.taxonomy import (
@@ -19,7 +19,6 @@ from symgame.taxonomy import (
     REGION_ROW,
     census,
     classify,
-    enumerate_ordinal_games,
 )
 
 from test_payoff import random_matrix
@@ -143,8 +142,8 @@ def test_comparison_sign_matches_row_label_when_strict() -> None:
     # except the known one-PO row whose computed equilibrium value always
     # sits below the optimum.
     known_reversed = "b>d>c>a"
-    for game in enumerate_ordinal_games():
-        result = classify(game)
+    for region in REGIONS:
+        result = classify(region.representative())
         label = result.game_class.payoff_comparison
         if result.comparison_values is None:
             assert label is Comparison.NOT_APPLICABLE
@@ -163,7 +162,7 @@ def test_comparison_sign_matches_row_label_when_strict() -> None:
 
 def test_mixed_profiles_appear_exactly_where_expected() -> None:
     rng = random.Random(91)
-    games = list(enumerate_ordinal_games())
+    games = [r.representative() for r in REGIONS]
     while len(games) < 300:
         P = random_matrix(rng)
         if len(set(P.entries())) == 4:
@@ -187,16 +186,6 @@ def test_classify_rejects_degenerate_input() -> None:
 # Census and symmetry
 
 
-def test_enumerate_ordinal_games_covers_every_region_once() -> None:
-    games = enumerate_ordinal_games()
-    assert len(games) == 24
-    seen = set()
-    for game in games:
-        assert sorted(game.entries()) == [1, 2, 3, 4]
-        seen.add(region_of(game).id)
-    assert seen == set(range(24))
-
-
 def test_census_matches_triangle_counts() -> None:
     counts = census()
     assert set(counts) == set(CLASS_TABLE)
@@ -212,7 +201,7 @@ def test_player_relabeling_preserves_structure() -> None:
         return {(1 - i, 1 - j) for i, j in positions}
 
     rng = random.Random(92)
-    games = list(enumerate_ordinal_games())
+    games = [r.representative() for r in REGIONS]
     while len(games) < 200:
         P = random_matrix(rng)
         if len(set(P.entries())) == 4:
