@@ -364,29 +364,13 @@ _MC_BLOCK = 16_384  # samples per sampler call: the rows of each stream's one no
 
 @dataclass(frozen=True)
 class MCRegionReport:
-    """Sampled region/class frequencies with binomial standard errors."""
+    """Sampled region and class counts; each share is its count over ``n_samples``."""
 
     n_samples: int
     seed: int
     n_workers: int
     region_counts: tuple  # 24 ints, indexed by region id
     class_counts: tuple  # 9 ints, indexed by class-table row
-
-    def region_fractions(self) -> tuple:
-        return tuple(c / self.n_samples for c in self.region_counts)
-
-    def class_fractions(self) -> tuple:
-        return tuple(c / self.n_samples for c in self.class_counts)
-
-    def _se(self, count: int) -> float:
-        p = count / self.n_samples
-        return math.sqrt(p * (1.0 - p) / self.n_samples)
-
-    def region_std_errors(self) -> tuple:
-        return tuple(self._se(c) for c in self.region_counts)
-
-    def class_std_errors(self) -> tuple:
-        return tuple(self._se(c) for c in self.class_counts)
 
 
 def _usable_cpus() -> int:
@@ -412,7 +396,7 @@ def _stream_code_counts(seed: int, worker: int, m: int, stop: threading.Event) -
 
 
 def mc_region_fractions(n_samples: int, seed: int, n_workers: int = 1) -> MCRegionReport:
-    """Estimate region and class measures from uniform sphere directions.
+    """Count uniform sphere directions per region and per class.
 
     Directions are iid standard normals.  Signs are scale-invariant, so each
     sample is classified without normalizing, by the exact signs of its six

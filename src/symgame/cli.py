@@ -23,6 +23,7 @@ import contextlib
 import csv
 import io
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -293,22 +294,20 @@ def _cmd_map(args) -> tuple[str, int]:
     return render_map(markers=markers, trajectories=trajectories), 0
 
 
-def _estimate_doc(exact: Fraction, estimate: float, std_error: float) -> dict:
+def _estimate_doc(exact: Fraction, count: int, n: int) -> dict:
     doc = _exact(exact=exact)
-    abs_error = abs(estimate - doc["exact_decimal"])
-    return {**doc, "estimate": estimate, "abs_error": abs_error, "std_error": std_error}
+    p = count / n
+    abs_error = abs(p - doc["exact_decimal"])
+    return {**doc, "estimate": p, "abs_error": abs_error, "std_error": math.sqrt(p * (1.0 - p) / n)}
 
 
 def _fractions_doc(report) -> dict:
-    class_fractions = report.class_fractions()
-    class_errors = report.class_std_errors()
-    region_fractions = report.region_fractions()
-    region_errors = report.region_std_errors()
+    n = report.n_samples
     classes = [
         {
             "index": k,
             "name": record.display_name,
-            **_estimate_doc(record.fraction, class_fractions[k], class_errors[k]),
+            **_estimate_doc(record.fraction, report.class_counts[k], n),
         }
         for k, record in enumerate(CLASS_TABLE)
     ]
@@ -317,13 +316,13 @@ def _fractions_doc(report) -> dict:
             "id": region.id,
             "ordering": region.ordering_text,
             "class_index": REGION_ROW[region.id],
-            **_estimate_doc(Fraction(1, 24), region_fractions[region.id], region_errors[region.id]),
+            **_estimate_doc(Fraction(1, 24), report.region_counts[region.id], n),
         }
         for region in REGIONS
     ]
     return {
         "schema": "fractions.v1",
-        "samples": report.n_samples,
+        "samples": n,
         "seed": report.seed,
         "workers": report.n_workers,
         "classes": classes,

@@ -82,10 +82,10 @@ def test_criterion_3_monte_carlo_accuracy() -> None:
     report = mc_region_fractions(10**6, seed=0, n_workers=1)
     elapsed = time.monotonic() - start
     assert elapsed < 10.0
-    for estimate in report.region_fractions():
-        assert abs(estimate - 1 / 24) < 0.0045
-    for estimate, row in zip(report.class_fractions(), CLASS_TABLE):
-        assert abs(estimate - float(row.fraction)) < 0.005
+    for count in report.region_counts:
+        assert abs(count / report.n_samples - 1 / 24) < 0.0045
+    for count, row in zip(report.class_counts, CLASS_TABLE):
+        assert abs(count / report.n_samples - float(row.fraction)) < 0.005
     _pass(3, "a million sampled directions")
 
 

@@ -7,6 +7,7 @@ import csv
 import errno
 import io
 import json
+import math
 import os
 import shlex
 import shutil
@@ -28,6 +29,7 @@ from hypothesis import given, settings, strategies as st
 import symgame
 
 from symgame import cli
+from symgame.cartography import mc_region_fractions
 from symgame.cli import build_report, main
 from symgame.payoff import PayoffMatrix
 from symgame.taxonomy import census
@@ -544,6 +546,41 @@ def test_fractions_json_matches_schema(capsys) -> None:
     ]
     assert abs(sum(row["estimate"] for row in doc["classes"]) - 1.0) < 1e-12
     assert all(row["exact"] == "1/24" for row in doc["regions"])
+    validator = jsonschema.Draft7Validator(_schema("fractions.v1.json"))
+    negative_seed = {**doc, "seed": -1}
+    negative_error = json.loads(out)
+    negative_error["regions"][3]["std_error"] = -0.1
+    for bad in (negative_seed, negative_error):
+        assert not validator.is_valid(bad)
+
+
+@pytest.mark.parametrize(
+    "argv", [("--samples", "5000", "--seed", "23", "--workers", "2"), ("--samples", "1")], ids=["5000-23-2", "1"],
+)
+def test_fractions_rows_follow_from_their_counts(capsys, argv) -> None:
+    code, out, _ = run_cli(capsys, "fractions", *argv, "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    n = doc["samples"]
+    report = mc_region_fractions(n, doc["seed"], doc["workers"])
+
+    def count(row) -> int:
+        p = row["estimate"]
+        c = round(p * n)
+        assert p == c / n  # c / n * n need not round back to c in floats, so redo the division
+        assert row["std_error"] == pytest.approx(math.sqrt(p * (1 - p) / n), rel=1e-12)
+        assert row["exact_decimal"] == float(Fraction(row["exact"]))
+        assert row["abs_error"] == abs(p - row["exact_decimal"])
+        return c
+
+    region_counts = tuple(count(row) for row in doc["regions"])
+    class_counts = tuple(count(row) for row in doc["classes"])
+    assert region_counts == report.region_counts and class_counts == report.class_counts
+    rolled = [0] * 9
+    for row, c in zip(doc["regions"], region_counts):
+        rolled[row["class_index"]] += c
+    assert tuple(rolled) == class_counts
+    assert sum(region_counts) == n
 
 
 def test_fractions_single_sample(capsys) -> None:
