@@ -97,8 +97,9 @@ def _as_fraction(value: Rational, what: str = "payoff") -> Fraction:
 class PayoffMatrix:
     """Row player's payoff matrix of a symmetric 2x2 game.
 
-    Accepts ints, Fractions, or strings like "3", "0.5", "-2/7"; decimal
-    strings convert exactly, within the bounds of ``_as_fraction``.
+    Accepts ints, Fractions, finite floats (at their exact binary value), or
+    strings like "3", "0.5", "-2/7"; decimal strings convert exactly, within
+    the bounds of ``_as_fraction``.
     """
 
     a: Fraction
@@ -109,10 +110,6 @@ class PayoffMatrix:
     def __post_init__(self) -> None:
         for name in ("a", "b", "c", "d"):
             object.__setattr__(self, name, _as_fraction(getattr(self, name)))
-
-    @classmethod
-    def constant(cls, value: Rational) -> "PayoffMatrix":
-        return cls(value, value, value, value)
 
     def entry(self, i: int, j: int) -> Fraction:
         """Row player's payoff at position (i, j)."""
@@ -126,24 +123,6 @@ class PayoffMatrix:
         """(q, q*a, q*b, q*c, q*d) in ints: the exact core decides ordering facts on these."""
         q = math.lcm(self.a.denominator, self.b.denominator, self.c.denominator, self.d.denominator)
         return (q, *[v.numerator * (q // v.denominator) for v in (self.a, self.b, self.c, self.d)])
-
-    # Linear-space arithmetic; handy for affine families t*P1 + (1-t)*P0.
-    def __add__(self, other: "PayoffMatrix") -> "PayoffMatrix":
-        if not isinstance(other, PayoffMatrix):
-            return NotImplemented
-        return PayoffMatrix(self.a + other.a, self.b + other.b,
-                            self.c + other.c, self.d + other.d)
-
-    def __sub__(self, other: "PayoffMatrix") -> "PayoffMatrix":
-        if not isinstance(other, PayoffMatrix):
-            return NotImplemented
-        return self + (-1) * other
-
-    def __mul__(self, scalar: Rational) -> "PayoffMatrix":
-        s = _as_fraction(scalar, "scalar")
-        return PayoffMatrix(self.a * s, self.b * s, self.c * s, self.d * s)
-
-    __rmul__ = __mul__
 
     def __str__(self) -> str:
         return f"[[{self.a},{self.b}],[{self.c},{self.d}]]"

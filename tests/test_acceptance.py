@@ -39,7 +39,7 @@ from symgame.taxonomy import (
     classify,
 )
 
-from test_payoff import random_matrix
+from test_payoff import linear, random_matrix
 
 POSITIONS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
@@ -170,7 +170,7 @@ def test_criterion_7_invariance_and_round_trips() -> None:
         P = _random_generic(rng)
         alpha = Fraction(rng.randint(1, 8), rng.randint(1, 8))
         beta = Fraction(rng.randint(-8, 8), rng.randint(1, 4))
-        Q = alpha * P + PayoffMatrix.constant(beta)
+        Q = linear((alpha, P), offset=beta)
         assert region_of(Q) is region_of(P)
         assert classify(Q).game_class is classify(P).game_class
         assert pure_nash_set(Q) == pure_nash_set(P)
@@ -194,7 +194,7 @@ def test_criterion_8_equilibria_always_exist_in_pairs() -> None:
     games = [r.representative() for r in REGIONS]
     rng = random.Random(2026)
     games += [random_matrix(rng, span=5) for _ in range(1000)]
-    games.append(PayoffMatrix.constant(0))
+    games.append(PayoffMatrix(0, 0, 0, 0))
     for P in games:
         for positions in (pure_nash_set(P), relaxed_po_set(P)):
             assert positions

@@ -82,7 +82,7 @@ def test_region_of_known_games() -> None:
 
 def test_region_of_rejects_constant() -> None:
     with pytest.raises(TrivialGame):
-        region_of(PayoffMatrix.constant(3))
+        region_of(PayoffMatrix(3, 3, 3, 3))
 
 
 @settings(deadline=None)
@@ -298,7 +298,7 @@ def test_decompose_boundary_resolves_to_lowest_region() -> None:
 
 def test_decompose_rejects_constant() -> None:
     with pytest.raises(TrivialGame):
-        decompose(PayoffMatrix.constant(-1))
+        decompose(PayoffMatrix(-1, -1, -1, -1))
 
 
 # ---------------------------------------------------------------------------
@@ -448,7 +448,7 @@ def test_map_point_known_games() -> None:
     pt = map_point(PayoffMatrix(3, 0, 1, 2))
     assert (pt.u, pt.v, pt.face_tag) == (0, Fraction(1, 2), "gab+")
     with pytest.raises(TrivialGame):
-        map_point(PayoffMatrix.constant(9))
+        map_point(PayoffMatrix(9, 9, 9, 9))
 
 
 def _orientation(p, q, r) -> Fraction:

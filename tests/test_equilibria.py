@@ -17,7 +17,7 @@ from symgame.equilibria import (
 )
 from symgame.payoff import PayoffMatrix, inverse_g_transform, GVector, transpose_game
 
-from test_payoff import random_matrix
+from test_payoff import linear, random_matrix
 
 PD = PayoffMatrix(3, 1, 4, 2)
 CHICKEN = PayoffMatrix(4, 2, 5, 1)
@@ -30,13 +30,13 @@ def test_pure_nash_sets() -> None:
     assert pure_nash_set(DEADLOCK) == {(0, 0)}
     assert pure_nash_set(PD) == {(1, 1)}
     assert pure_nash_set(COORDINATION) == {(0, 0), (1, 1)}
-    assert pure_nash_set(PayoffMatrix.constant(7)) == {(0, 0), (0, 1), (1, 0), (1, 1)}
+    assert pure_nash_set(PayoffMatrix(7, 7, 7, 7)) == {(0, 0), (0, 1), (1, 0), (1, 1)}
 
 
 def test_relaxed_po_sets() -> None:
     assert relaxed_po_set(PD) == {(0, 0)}
     assert relaxed_po_set(PayoffMatrix(4, 5, 2, 1)) == {(0, 1), (1, 0)}
-    assert relaxed_po_set(PayoffMatrix.constant(0)) == {(0, 0), (0, 1), (1, 0), (1, 1)}
+    assert relaxed_po_set(PayoffMatrix(0, 0, 0, 0)) == {(0, 0), (0, 1), (1, 0), (1, 1)}
 
 
 def test_weak_inequalities_admit_ties() -> None:
@@ -110,7 +110,7 @@ def test_symmetric_profiles_pay_both_players_equally() -> None:
 
 def test_standard_pareto_examples() -> None:
     assert standard_pareto_set(PD) == {(0, 0), (0, 1), (1, 0)}
-    assert standard_pareto_set(PayoffMatrix.constant(1)) == {(0, 0), (0, 1), (1, 0), (1, 1)}
+    assert standard_pareto_set(PayoffMatrix(1, 1, 1, 1)) == {(0, 0), (0, 1), (1, 0), (1, 1)}
     assert standard_pareto_set(COORDINATION) == {(0, 0)}
 
 
@@ -142,8 +142,8 @@ def test_nash_set_ignores_the_other_action_contrast() -> None:
     for _ in range(200):
         P = random_matrix(rng)
         t = Fraction(rng.randint(-6, 6), rng.randint(1, 3))
-        assert pure_nash_set(P + t * gb_only) == pure_nash_set(P)
-        assert relaxed_po_set(P + t * ga_only) == relaxed_po_set(P)
+        assert pure_nash_set(linear((1, P), (t, gb_only))) == pure_nash_set(P)
+        assert relaxed_po_set(linear((1, P), (t, ga_only))) == relaxed_po_set(P)
 
 
 def test_affine_invariance() -> None:
@@ -152,7 +152,7 @@ def test_affine_invariance() -> None:
         P = random_matrix(rng)
         alpha = Fraction(rng.randint(1, 9), rng.randint(1, 9))
         beta = Fraction(rng.randint(-9, 9), rng.randint(1, 5))
-        Q = alpha * P + PayoffMatrix.constant(beta)
+        Q = linear((alpha, P), offset=beta)
         assert pure_nash_set(Q) == pure_nash_set(P)
         assert relaxed_po_set(Q) == relaxed_po_set(P)
         assert mixed_nash(Q) == mixed_nash(P)

@@ -39,6 +39,8 @@ from symgame.payoff import (
 from symgame.svgmap import _far, _fmt, _marker_elements
 from symgame.taxonomy import CLASS_TABLE, REGION_ROW
 
+from test_payoff import linear
+
 _entries = st.one_of(
     st.integers(-10**6, 10**6).map(Fraction),
     st.builds(Fraction, st.integers(-10**9, 10**9), st.integers(1, 10**6)),
@@ -188,9 +190,7 @@ def test_reconstruct_reads_only_the_stated_values(offset, scale, weights, region
     """Any stated values, weights not summing to 1 included, rebuild as offset*J + scale*sum(w*V)."""
     vertices = region.vertices
     dec = Decomposition(offset, scale, weights, vertices, region)
-    V1, V2, V3 = (v.matrix for v in vertices)
-    w1, w2, w3 = weights
-    expected = offset * PayoffMatrix.constant(1) + scale * (w1 * V1 + w2 * V2 + w3 * V3)
+    expected = linear(*[(scale * w, v.matrix) for w, v in zip(weights, vertices)], offset=offset)
     rebuilt = reconstruct(dec)
     assert rebuilt == expected
     assert _all_fractions(rebuilt.entries())
@@ -222,7 +222,7 @@ def test_trajectory_samples_match_the_fraction_interpolation(P0, P1, n) -> None:
     assert len(samples) == n
     for k, sample in enumerate(samples):
         t = Fraction(k, n - 1)
-        M = (1 - t) * P0 + t * P1
+        M = linear((1 - t, P0), (t, P1))
         trivial = len(set(M.entries())) == 1
         try:
             game_class = None if trivial else CLASS_TABLE[REGION_ROW[region_of(M).id]]
@@ -283,7 +283,7 @@ _FACTS = ("pure_nash_set", "relaxed_po_set", "mixed_nash", "mixed_po")
     [
         (PayoffMatrix(3, 1, 4, 2), None),
         (PayoffMatrix(1, 1, 0, 2), "boundary"),
-        (PayoffMatrix.constant(5), "trivial"),
+        (PayoffMatrix(5, 5, 5, 5), "trivial"),
     ],
     ids=["strict", "tied", "constant"],
 )

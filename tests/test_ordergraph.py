@@ -128,7 +128,7 @@ def test_graph_sets_match_predicates_everywhere() -> None:
     games += [r.representative() for r in REGIONS]
     games.append(PayoffMatrix(4, 5, 1, 0))
     games.append(PayoffMatrix(2, 1, 2, 0))
-    games.append(PayoffMatrix.constant(5))
+    games.append(PayoffMatrix(5, 5, 5, 5))
     rng = random.Random(104)
     games += [random_matrix(rng, span=4) for _ in range(300)]  # many ties
     for P in games:
@@ -151,7 +151,7 @@ def test_ties_make_double_arrows_and_weak_sinks() -> None:
     ]
     assert graph_nash_set(g) == {(0, 0), (0, 1), (1, 0)}
 
-    g = build_order_graph(PayoffMatrix.constant(3))
+    g = build_order_graph(PayoffMatrix(3, 3, 3, 3))
     assert all(a.double for a in g.nash_arrows + g.pareto_arrows)
     assert graph_nash_set(g) == {(0, 0), (0, 1), (1, 0), (1, 1)}
     assert graph_po_set(g) == {(0, 0), (0, 1), (1, 0), (1, 1)}
@@ -190,7 +190,7 @@ def test_dot_marks_ties_and_multiple_equilibria() -> None:
     dot = to_dot(build_order_graph(PayoffMatrix(2, 1, 2, 0)))
     assert dot.count("dir=both") == 2
     assert dot.count("doublecircle") == 3
-    dot = to_dot(build_order_graph(PayoffMatrix.constant(0)))
+    dot = to_dot(build_order_graph(PayoffMatrix(0, 0, 0, 0)))
     assert dot.count("dir=both") == 8
     assert dot.count("doublecircle") == 4
 

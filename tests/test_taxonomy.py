@@ -177,7 +177,7 @@ def test_mixed_profiles_appear_exactly_where_expected() -> None:
 
 def test_classify_rejects_degenerate_input() -> None:
     with pytest.raises(TrivialGame):
-        classify(PayoffMatrix.constant(7))
+        classify(PayoffMatrix(7, 7, 7, 7))
     with pytest.raises(BoundaryGame):
         classify(PayoffMatrix(2, 1, 2, 0))
 
