@@ -61,14 +61,29 @@ def test_entry_indexing_matches_rows() -> None:
     assert [P.entry(i, j) for i in (0, 1) for j in (0, 1)] == list(P.entries()) == [1, 2, 3, 4]
 
 
-def test_matrices_have_no_arithmetic() -> None:
-    """A matrix is its four entries: build sums, multiples and constants with the constructor."""
+def test_linear_arithmetic() -> None:
+    """A matrix is its four entries: sums, multiples and constants are built entry by entry."""
     P = PayoffMatrix(1, 2, 3, 4)
-    for combine in (lambda: P + P, lambda: P - P, lambda: 2 * P, lambda: P * 2, lambda: P + 1, lambda: P - 1):
+    Q = PayoffMatrix(4, 3, 2, 1)
+    assert linear((1, P), (1, Q)) == PayoffMatrix(5, 5, 5, 5)
+    assert linear((1, P), (-1, P)) == PayoffMatrix(0, 0, 0, 0)
+    assert linear((2, P)) == PayoffMatrix(2, 4, 6, 8)
+    assert linear((Fraction(1, 2), P)) == PayoffMatrix(Fraction(1, 2), 1, Fraction(3, 2), 2)
+    assert linear(offset=Fraction(5, 3)) == PayoffMatrix(*[Fraction(5, 3)] * 4)
+    for combine in (lambda: P + Q, lambda: P - Q, lambda: 2 * P, lambda: P * 2):
         with pytest.raises(TypeError):
             combine()
     assert not hasattr(PayoffMatrix, "constant")
     assert str(P) == "[[1,2],[3,4]]"
+
+
+def test_matrix_plus_or_minus_a_scalar_is_a_type_error() -> None:
+    """A scalar offset is ``PayoffMatrix(v, v, v, v)`` added entry by entry, never ``P + v``."""
+    P = PayoffMatrix(1, 2, 3, 4)
+    with pytest.raises(TypeError):
+        P + 1
+    with pytest.raises(TypeError):
+        P - 1
 
 
 def test_g_transform_known_values() -> None:
