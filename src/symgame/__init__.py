@@ -7,7 +7,7 @@ from .taxonomy import *
 from .ordergraph import *
 from .svgmap import *
 
-__version__ = "0.10.0"
+__version__ = "0.11.0"
 
 __all__ = (
     payoff.__all__

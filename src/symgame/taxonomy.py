@@ -3,7 +3,7 @@
 A game's class is a pure function of its elementary region: the category
 (where the pure equilibria sit) and the optimality status are sign patterns,
 and each of the 24 regions is listed by its ordering under one of nine rows
-below.  A row states its triangle count; its share, ``fraction``, is count / 24.
+below.  A row's share, ``fraction``, is its number of orderings over 24.
 
 Alongside the frozen row assignment, ``classify`` reports the computed
 payoff comparison for the rows that have one, as a pair of exact values:
@@ -69,70 +69,58 @@ class Comparison(Enum):
 
 @dataclass(frozen=True)
 class GameClassRecord:
-    """One taxonomy row: labels, triangle count, an example and its member orderings."""
+    """One taxonomy row: three labels, a display name and its member orderings."""
 
     category: Category
     po_status: PoStatus
     payoff_comparison: Comparison
-    triangle_count: int
     display_name: str
-    example: PayoffMatrix
     orderings: Tuple[str, ...]
 
     @property
     def fraction(self) -> Fraction:
-        """Share of the sphere, derived: triangle_count / 24."""
-        return Fraction(self.triangle_count, 24)
+        """Share of the sphere, derived: len(orderings) / 24."""
+        return Fraction(len(self.orderings), 24)
 
 
-# Rows in table order.  The member orderings pin the region-to-row map; the
-# structural labels are rederivable from any member's NE/PO sets and the
-# tests do exactly that.
+# Rows in table order.  The member orderings pin the region-to-row map; census
+# checks each row's category and PO status against its members' NE/PO sets.
 CLASS_TABLE = (
     GameClassRecord(
         Category.ONE_DIAGONAL_NE, PoStatus.PO_IS_NE, Comparison.NOT_APPLICABLE,
-        4, "Cholesterol: friend or foe", PayoffMatrix(4, 2, 3, 1),
-        ("a>b>c>d", "a>c>b>d", "d>c>b>a", "d>b>c>a"),
+        "Cholesterol: friend or foe", ("a>b>c>d", "a>c>b>d", "d>c>b>a", "d>b>c>a"),
     ),
     GameClassRecord(
         Category.ONE_DIAGONAL_NE, PoStatus.PO_NOT_NE, Comparison.NE_GREATER,
-        2, "Deadlock", PayoffMatrix(3, 4, 1, 2),
-        ("b>a>d>c", "c>d>a>b"),
+        "Deadlock", ("b>a>d>c", "c>d>a>b"),
     ),
     GameClassRecord(
         Category.ONE_DIAGONAL_NE, PoStatus.PO_NOT_NE, Comparison.NE_LESS,
-        2, "Prisoner's Dilemma", PayoffMatrix(3, 1, 4, 2),
-        ("b>d>a>c", "c>a>d>b"),
+        "Prisoner's Dilemma", ("b>d>a>c", "c>a>d>b"),
     ),
     GameClassRecord(
         Category.ONE_DIAGONAL_NE, PoStatus.TWO_PO, Comparison.NE_GREATER,
-        3, "Two PO, NE payoff greater", PayoffMatrix(4, 5, 2, 1),
-        ("a>b>d>c", "d>c>a>b", "b>a>c>d"),
+        "Two PO, NE payoff greater", ("a>b>d>c", "d>c>a>b", "b>a>c>d"),
     ),
     GameClassRecord(
         Category.ONE_DIAGONAL_NE, PoStatus.TWO_PO, Comparison.NE_LESS,
-        1, "Two PO, NE payoff lower", PayoffMatrix(1, 2, 5, 3),
-        ("c>d>b>a",),
+        "Two PO, NE payoff lower", ("c>d>b>a",),
     ),
     GameClassRecord(
         Category.TWO_DIAGONAL_NE, PoStatus.BOTH_NE_PO, Comparison.NOT_APPLICABLE,
-        6, "Pareto Coordination", PayoffMatrix(4, 1, 2, 3),
-        ("a>c>d>b", "a>d>c>b", "a>d>b>c", "d>a>c>b", "d>a>b>c", "d>b>a>c"),
+        "Pareto Coordination", ("a>c>d>b", "a>d>c>b", "a>d>b>c", "d>a>c>b", "d>a>b>c", "d>b>a>c"),
     ),
     GameClassRecord(
         Category.TWO_NON_DIAGONAL_NE, PoStatus.ONE_PO, Comparison.NE_GREATER,
-        1, "One PO, NE payoff greater", PayoffMatrix(1, 5, 2, 3),
-        ("b>d>c>a",),
+        "One PO, NE payoff greater", ("b>d>c>a",),
     ),
     GameClassRecord(
         Category.TWO_NON_DIAGONAL_NE, PoStatus.ONE_PO, Comparison.NE_LESS,
-        1, "Chicken", PayoffMatrix(4, 2, 5, 1),
-        ("c>a>b>d",),
+        "Chicken", ("c>a>b>d",),
     ),
     GameClassRecord(
         Category.TWO_NON_DIAGONAL_NE, PoStatus.TWO_PO, Comparison.NOT_APPLICABLE,
-        4, "Two non-diagonal PO", PayoffMatrix(2, 3, 4, 1),
-        ("c>b>a>d", "c>b>d>a", "b>c>a>d", "b>c>d>a"),
+        "Two non-diagonal PO", ("c>b>a>d", "c>b>d>a", "b>c>a>d", "b>c>d>a"),
     ),
 )
 
@@ -196,9 +184,22 @@ def classify(P: PayoffMatrix) -> Classification:
     )
 
 
+def _labels(ne_set, po_set):
+    """(category, PO status) as read off a strict game's pure NE and relaxed PO sets."""
+    if ne_set == _NON_DIAGONAL:
+        return Category.TWO_NON_DIAGONAL_NE, PoStatus.TWO_PO if po_set == _NON_DIAGONAL else PoStatus.ONE_PO
+    if len(ne_set) == 2:
+        return Category.TWO_DIAGONAL_NE, PoStatus.BOTH_NE_PO
+    if po_set == ne_set:
+        return Category.ONE_DIAGONAL_NE, PoStatus.PO_IS_NE
+    return Category.ONE_DIAGONAL_NE, PoStatus.TWO_PO if len(po_set) == 2 else PoStatus.PO_NOT_NE
+
+
 def census() -> dict:
-    """Class counts over the 24 ordinal games, the region representatives; must match triangle_count."""
+    """Per-row counts of the 24 region representatives whose own NE/PO sets give their row's labels."""
     counts = {record: 0 for record in CLASS_TABLE}
     for region in REGIONS:
-        counts[classify(region.representative()).game_class] += 1
+        P, row = region.representative(), CLASS_TABLE[REGION_ROW[region.id]]
+        if _labels(pure_nash_set(P), relaxed_po_set(P)) == (row.category, row.po_status):
+            counts[row] += 1
     return counts

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import dataclasses
 import errno
 import io
 import json
@@ -28,8 +29,8 @@ from hypothesis import given, settings, strategies as st
 
 import symgame
 
-from symgame import cli
-from symgame.cartography import mc_region_fractions
+from symgame import cli, taxonomy
+from symgame.cartography import REGIONS, mc_region_fractions
 from symgame.cli import build_report, main
 from symgame.payoff import PayoffMatrix
 from symgame.taxonomy import census
@@ -510,6 +511,29 @@ def test_census_failure_exits_1(capsys, monkeypatch) -> None:
     assert code == 1
     assert "MISMATCH" in out
     assert err == "census self-test failed\n"
+
+
+_ROWS = taxonomy.CLASS_TABLE
+
+
+@pytest.mark.parametrize(
+    "orderings, mismatched",
+    [
+        ({0: _ROWS[8].orderings, 8: _ROWS[0].orderings}, [0, 8]),  # Cholesterol <-> Two non-diagonal PO
+        ({1: _ROWS[1].orderings + ("a>b>c>d",)}, [0, 1]),  # a Cholesterol ordering also under Deadlock
+    ],
+    ids=["swapped-rows", "ordering-listed-twice"],
+)
+def test_census_fails_on_a_corrupted_class_table(capsys, monkeypatch, orderings, mismatched) -> None:
+    rows = tuple(dataclasses.replace(row, orderings=orderings.get(k, row.orderings)) for k, row in enumerate(_ROWS))
+    region_row = {r.id: k for r in REGIONS for k, row in enumerate(rows) if r.ordering_text in row.orderings}
+    monkeypatch.setattr(taxonomy, "CLASS_TABLE", rows)
+    monkeypatch.setattr(taxonomy, "REGION_ROW", region_row)
+    monkeypatch.setattr(cli, "CLASS_TABLE", rows)
+    code, out, err = run_cli(capsys, "census")
+    assert code == 1
+    assert err == "census self-test failed\n"
+    assert [int(line.split()[0]) for line in out.splitlines() if line.endswith(" MISMATCH")] == mismatched
 
 
 def test_fractions_csv_layout_and_determinism(capsys) -> None:

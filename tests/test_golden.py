@@ -5,7 +5,8 @@ region computations; any byte that changes in these outputs fails here.  The
 CSV digest and the counts of streams longer than one sampler block were
 recorded before the CSV writer and the block-wise sampler were rewritten.
 The plain ``classify`` report and ``ordergraph --simplified`` were recorded
-before ``census`` took its 24 games from ``REGIONS``.
+before ``census`` took its 24 games from ``REGIONS``.  The ``census`` digest
+was recorded while each row still stated its count apart from its orderings.
 """
 
 from __future__ import annotations
@@ -88,6 +89,11 @@ def test_cli_documents_are_pinned(capsys) -> None:
         "ordergraph": "ec678e65300e2660a099307ce92fb70b82f8a6643d7aac9fe64f632596fa5896",
         "ordergraph --simplified": "760f05ac04949d7a2d2ed6283835278fdd7c9fcf098397e5762c5e10cadd7ac1",
     }
+
+
+def test_census_output_is_pinned(capsys) -> None:
+    out = _cli_stdout(capsys, "census")
+    assert _sha(out) == "a757346d8360c3b48a10ef41fb2749fa02a507dc0c969087736317e8e7e955bf"
 
 
 def test_fractions_document_is_pinned(capsys) -> None:

@@ -20,10 +20,10 @@ from symgame.ordergraph import (
     to_dot,
 )
 from symgame.payoff import POSITIONS, PayoffMatrix, transpose_game
-from symgame.taxonomy import CLASS_TABLE
 
 from test_kernel import games
 from test_payoff import random_matrix
+from test_taxonomy import CLASS_EXAMPLES
 
 PD = PayoffMatrix(3, 1, 4, 2)
 
@@ -124,7 +124,7 @@ def test_arrow_pairs_align_iff_edge_is_pareto_ranked() -> None:
 
 
 def test_graph_sets_match_predicates_everywhere() -> None:
-    games = [row.example for row in CLASS_TABLE]
+    games = [P for P, _ in CLASS_EXAMPLES]
     games += [r.representative() for r in REGIONS]
     games.append(PayoffMatrix(4, 5, 1, 0))
     games.append(PayoffMatrix(2, 1, 2, 0))

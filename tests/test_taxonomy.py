@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
 from fractions import Fraction
 
 import pytest
 
+from symgame import taxonomy
 from symgame.cartography import BoundaryGame, REGIONS
 from symgame.equilibria import pure_nash_set, relaxed_po_set
 from symgame.payoff import PayoffMatrix, TrivialGame, transpose_game
@@ -15,16 +17,31 @@ from symgame.taxonomy import (
     Category,
     Classification,
     Comparison,
+    GameClassRecord,
     PoStatus,
     REGION_ROW,
     census,
     classify,
 )
 
-from test_payoff import random_matrix
+from test_payoff import linear, random_matrix
 
 DIAGONAL = {(0, 0), (1, 1)}
 NON_DIAGONAL = {(0, 1), (1, 0)}
+ROW_SIZES = (4, 2, 2, 3, 1, 6, 1, 1, 4)
+
+# One strict game per class row, as (matrix, row index).
+CLASS_EXAMPLES = [
+    (PayoffMatrix(4, 2, 3, 1), 0),  # Cholesterol: friend or foe
+    (PayoffMatrix(3, 4, 1, 2), 1),  # Deadlock
+    (PayoffMatrix(3, 1, 4, 2), 2),  # Prisoner's Dilemma
+    (PayoffMatrix(4, 5, 2, 1), 3),  # Two PO, NE payoff greater
+    (PayoffMatrix(1, 2, 5, 3), 4),  # Two PO, NE payoff lower
+    (PayoffMatrix(4, 1, 2, 3), 5),  # Pareto Coordination
+    (PayoffMatrix(1, 5, 2, 3), 6),  # One PO, NE payoff greater
+    (PayoffMatrix(4, 2, 5, 1), 7),  # Chicken
+    (PayoffMatrix(2, 3, 4, 1), 8),  # Two non-diagonal PO
+]
 
 
 # ---------------------------------------------------------------------------
@@ -33,11 +50,13 @@ NON_DIAGONAL = {(0, 1), (1, 0)}
 
 def test_table_shape_and_measures() -> None:
     assert len(CLASS_TABLE) == 9
-    counts = tuple(row.triangle_count for row in CLASS_TABLE)
-    assert counts == (4, 2, 2, 3, 1, 6, 1, 1, 4)
+    fields = [field.name for field in dataclasses.fields(GameClassRecord)]
+    assert fields == ["category", "po_status", "payoff_comparison", "display_name", "orderings"]
+    counts = tuple(len(row.orderings) for row in CLASS_TABLE)
+    assert counts == ROW_SIZES
     assert sum(counts) == 24
     for row in CLASS_TABLE:
-        assert row.fraction == Fraction(row.triangle_count, 24)
+        assert row.fraction == Fraction(len(row.orderings), 24)
     assert sum(row.fraction for row in CLASS_TABLE) == 1
     listed = [text for row in CLASS_TABLE for text in row.orderings]
     assert sorted(listed) == sorted(region.ordering_text for region in REGIONS)
@@ -59,8 +78,9 @@ def test_table_display_names() -> None:
 
 
 def test_examples_classify_into_their_own_row() -> None:
-    for row in CLASS_TABLE:
-        assert classify(row.example).game_class is row
+    assert sorted(k for _, k in CLASS_EXAMPLES) == list(range(9))
+    for P, k in CLASS_EXAMPLES:
+        assert classify(P).game_class is CLASS_TABLE[k]
 
 
 def test_region_row_partitions_all_regions() -> None:
@@ -68,7 +88,8 @@ def test_region_row_partitions_all_regions() -> None:
     sizes = [0] * 9
     for row_index in REGION_ROW.values():
         sizes[row_index] += 1
-    assert sizes == [row.triangle_count for row in CLASS_TABLE]
+    assert tuple(sizes) == ROW_SIZES
+    assert sizes == [len(row.orderings) for row in CLASS_TABLE]
 
 
 def test_row_labels_match_equilibrium_structure() -> None:
@@ -136,28 +157,81 @@ def test_classify_comparison_absent_where_not_applicable() -> None:
         assert result.comparison_values is None
 
 
+def _sign(x) -> int:
+    return (x > 0) - (x < 0)
+
+
+def _comparison_form(P: PayoffMatrix):
+    """(NE value - PO value as a function of a game, is it linear), picked from P's NE and PO positions.
+
+    (None, None) where P's sets give no comparison.  A linear form's coefficients sum to 0, so adding a
+    constant to a game leaves it unchanged.  The one-PO forms are the mixed-equilibrium payoff minus the
+    optimum, factored into payoff differences over (a - c) + (d - b).
+    """
+    ne, po = pure_nash_set(P), relaxed_po_set(P)
+    if ne == NON_DIAGONAL and len(po) == 1:
+        if po == {(1, 1)}:
+            return (lambda M: -(M.b - M.d) * (M.c - M.d) / ((M.a - M.c) + (M.d - M.b))), False
+        return (lambda M: -(M.a - M.b) * (M.a - M.c) / ((M.a - M.c) + (M.d - M.b))), False
+    if len(ne) == 1 and po != ne:
+        (ne_pos,) = ne
+        if po == NON_DIAGONAL:
+            return (lambda M: M.entry(*ne_pos) - (M.b + M.c) / 2), True
+        (po_pos,) = po - ne
+        return (lambda M: M.entry(*ne_pos) - M.entry(*po_pos)), True
+    return None, None
+
+
+def _interior_games(region, rng, n):
+    """The representative and n games offset + sum w*V over the region's vertex matrices V, weights w > 0."""
+    games = [region.representative()]
+    for _ in range(n):
+        terms = [(Fraction(rng.randint(1, 60), rng.randint(1, 7)), v.matrix) for v in region.vertices]
+        games.append(linear(*terms, offset=Fraction(rng.randint(-20, 20), rng.randint(1, 5))))
+    return games
+
+
 def test_comparison_sign_matches_row_label_when_strict() -> None:
-    # Representatives of two rows tie exactly (both values 3); every other
-    # comparison over the ordinal games must agree with the frozen label,
-    # except the known one-PO row whose computed equilibrium value always
-    # sits below the optimum.
-    known_reversed = "b>d>c>a"
+    # The exact sign set of (NE value - PO value) over each open region, against the row's label.
+    # A linear form is sum w*f(V) on the interior, so its signs there follow from its values at the
+    # three vertex matrices (tied games, never classified).  Each factor of a one-PO form is a payoff
+    # difference of one sign on the region, so the form's sign at the representative is its sign.
+    proof_table = {
+        "none": {0, 2, 3, 4, 5, 8, 9, 14, 15, 18, 19, 20, 21, 23},
+        "agrees": {1, 7, 10, 12, 13, 16, 22},
+        "split": {6, 17},  # takes -, 0 and +
+        "contradicted": {11},
+    }
+    claimed_signs = {
+        Comparison.NE_GREATER: {1},
+        Comparison.NE_LESS: {-1},
+        Comparison.NOT_APPLICABLE: None,
+    }
+    rng = random.Random(94)
+    found = {verdict: set() for verdict in proof_table}
     for region in REGIONS:
-        result = classify(region.representative())
-        label = result.game_class.payoff_comparison
-        if result.comparison_values is None:
-            assert label is Comparison.NOT_APPLICABLE
-            continue
-        ne_value, po_value = result.comparison_values
-        if ne_value == po_value:
-            assert result.region.ordering_text in ("b>a>c>d", "c>d>b>a")
-            continue
-        if result.region.ordering_text == known_reversed:
-            assert label is Comparison.NE_GREATER and ne_value < po_value
-            continue
-        assert label is (
-            Comparison.NE_GREATER if ne_value > po_value else Comparison.NE_LESS
-        )
+        form, is_linear = _comparison_form(region.representative())
+        if form is None:
+            signs = None
+        elif is_linear:
+            at_vertices = {_sign(form(v.matrix)) for v in region.vertices}
+            signs = {-1, 0, 1} if {-1, 1} <= at_vertices else (at_vertices - {0} or {0})
+        else:
+            signs = {_sign(form(region.representative()))}
+        for P in _interior_games(region, rng, 20):
+            values = classify(P).comparison_values
+            assert (values is None) == (form is None)
+            if values is not None:
+                assert values[0] - values[1] == form(P)
+                assert _sign(form(P)) in signs
+        claimed = claimed_signs[CLASS_TABLE[REGION_ROW[region.id]].payoff_comparison]
+        if signs == claimed:
+            found["none" if claimed is None else "agrees"].add(region.id)
+        elif signs == {-1, 0, 1} and claimed is not None:
+            found["split"].add(region.id)
+        else:
+            found["contradicted"].add(region.id)
+    assert found == proof_table
 
 
 def test_mixed_profiles_appear_exactly_where_expected() -> None:
@@ -186,17 +260,23 @@ def test_classify_rejects_degenerate_input() -> None:
 # Census and symmetry
 
 
-def test_census_matches_triangle_counts() -> None:
+def test_census_matches_triangle_counts(monkeypatch) -> None:
+    # census reads each representative's NE/PO sets itself, never through classify.
+    monkeypatch.setattr(taxonomy, "classify", None)
     counts = census()
     assert set(counts) == set(CLASS_TABLE)
+    assert tuple(counts[row] for row in CLASS_TABLE) == ROW_SIZES
     for row in CLASS_TABLE:
-        assert counts[row] == row.triangle_count
+        assert counts[row] == len(row.orderings)
     assert sum(counts.values()) == 24
 
 
 def test_player_relabeling_preserves_structure() -> None:
     # Swapping both players' action labels maps (a,b,c,d) to (d,c,b,a) and
-    # position (i,j) to (1-i,1-j); category and status are invariant.
+    # position (i,j) to (1-i,1-j); category and status are invariant, and so
+    # is the class row except between these twin regions, whose rows differ
+    # only in the comparison label.
+    twins = ({6, 17}, {11, 12})
     def flipped(positions):
         return {(1 - i, 1 - j) for i, j in positions}
 
@@ -211,6 +291,10 @@ def test_player_relabeling_preserves_structure() -> None:
         rp, rq = classify(P), classify(Q)
         assert rq.game_class.category is rp.game_class.category
         assert rq.game_class.po_status is rp.game_class.po_status
+        if {rp.region.id, rq.region.id} in twins:
+            assert rq.game_class is not rp.game_class
+        else:
+            assert rq.game_class is rp.game_class
         assert rq.ne_set == flipped(rp.ne_set)
         assert rq.po_set == flipped(rp.po_set)
         if rp.mixed_ne is not None:
