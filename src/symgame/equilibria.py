@@ -1,19 +1,19 @@
 """Pure and mixed equilibria, and the relaxed optimality dual.
 
 ``pure_nash_set`` and ``relaxed_po_set`` are weak-inequality predicates and
-``mixed_nash`` and ``mixed_po`` test strict inequalities; all four, and the
-exact payoffs of ``expected_payoff``, are computed on integer numerators
-(``PayoffMatrix._scaled``).  The relaxed Pareto notion is deliberately the
-Nash condition of the transposed game: each player maximizes the *other's*
-payoff.  That duality makes the classification machinery symmetric, and it is
-independent of ``standard_pareto_set``, the textbook strict-domination check
-on the Fraction entries, which is kept as an oracle.
+``mixed_nash`` and ``mixed_po`` test strict inequalities; all four, and
+``expected_payoff``, the one payoff of a symmetric profile, are computed on
+integer numerators (``PayoffMatrix._scaled``).  The relaxed Pareto notion is
+deliberately the Nash condition of the transposed game: each player maximizes
+the *other's* payoff.  That duality makes the classification machinery
+symmetric, and it is independent of ``standard_pareto_set``, the textbook
+strict-domination check on the Fraction entries, which is kept as an oracle.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import FrozenSet, Optional, Tuple
+from typing import FrozenSet, Optional
 
 from .payoff import POSITIONS, PayoffMatrix, Position, Rational, _as_fraction
 
@@ -77,19 +77,14 @@ def mixed_po(P: PayoffMatrix) -> Optional[MixedProfile]:
     return _mixed(a, c, b, d)
 
 
-def expected_payoff(P: PayoffMatrix, p_row: Rational, p_col: Rational) -> Tuple[Fraction, Fraction]:
-    """Exact expected payoffs (row, column) when each plays 0 with the given probability."""
-    pr = _as_fraction(p_row, "probability")
-    pc = _as_fraction(p_col, "probability")
-    for p in (pr, pc):
-        if not 0 <= p <= 1:
-            raise ValueError(f"probability {p} outside [0, 1]")
+def expected_payoff(P: PayoffMatrix, p: Rational) -> Fraction:
+    """Exact payoff to each player when both play 0 with probability p."""
+    p = _as_fraction(p, "probability")
+    if not 0 <= p <= 1:
+        raise ValueError(f"probability {p} outside [0, 1]")
     q, a, b, c, d = P._scaled
-    (r, s), (t, u) = pr.as_integer_ratio(), pc.as_integer_ratio()
-    # Weights of (0,0), (0,1), (1,0) and (1,1) times s*u; the column player sees b and c swapped.
-    w00, w01, w10, w11 = r * t, r * (u - t), (s - r) * t, (s - r) * (u - t)
-    return (Fraction(w00 * a + w01 * b + w10 * c + w11 * d, s * u * q),
-            Fraction(w00 * a + w01 * c + w10 * b + w11 * d, s * u * q))
+    r, s = p.as_integer_ratio()
+    return Fraction(r * r * a + r * (s - r) * (b + c) + (s - r) * (s - r) * d, s * s * q)
 
 
 def standard_pareto_set(P: PayoffMatrix) -> PositionSet:

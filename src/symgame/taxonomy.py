@@ -158,7 +158,7 @@ def _comparison_values(P, row, ne_set, po_set, mixed_ne):
         return (ne_value, po_value)
     if row.po_status is PoStatus.ONE_PO:
         (po_pos,) = po_set
-        return (expected_payoff(P, mixed_ne, mixed_ne)[0], P.entry(*po_pos))
+        return (expected_payoff(P, mixed_ne), P.entry(*po_pos))
     return None
 
 
@@ -199,6 +199,8 @@ def census() -> dict:
     """Per-row counts of the 24 region representatives whose own NE/PO sets give their row's labels."""
     counts = {record: 0 for record in CLASS_TABLE}
     for region in REGIONS:
+        if region.id not in REGION_ROW:  # its ordering is listed under no row
+            continue
         P, row = region.representative(), CLASS_TABLE[REGION_ROW[region.id]]
         if _labels(pure_nash_set(P), relaxed_po_set(P)) == (row.category, row.po_status):
             counts[row] += 1

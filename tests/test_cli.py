@@ -521,19 +521,22 @@ _ROWS = taxonomy.CLASS_TABLE
     [
         ({0: _ROWS[8].orderings, 8: _ROWS[0].orderings}, [0, 8]),  # Cholesterol <-> Two non-diagonal PO
         ({1: _ROWS[1].orderings + ("a>b>c>d",)}, [0, 1]),  # a Cholesterol ordering also under Deadlock
+        ({1: ("b>a>d>c", "c>d>a>e")}, [1, "total"]),  # Deadlock's "c>d>a>b" misspelt: region 16 has no row
+        ({1: ("b>a>d>c",)}, ["total"]),  # Deadlock's "c>d>a>b" dropped: region 16 has no row
     ],
-    ids=["swapped-rows", "ordering-listed-twice"],
+    ids=["swapped-rows", "ordering-listed-twice", "ordering-misspelt", "ordering-dropped"],
 )
 def test_census_fails_on_a_corrupted_class_table(capsys, monkeypatch, orderings, mismatched) -> None:
     rows = tuple(dataclasses.replace(row, orderings=orderings.get(k, row.orderings)) for k, row in enumerate(_ROWS))
     region_row = {r.id: k for r in REGIONS for k, row in enumerate(rows) if r.ordering_text in row.orderings}
-    monkeypatch.setattr(taxonomy, "CLASS_TABLE", rows)
-    monkeypatch.setattr(taxonomy, "REGION_ROW", region_row)
-    monkeypatch.setattr(cli, "CLASS_TABLE", rows)
+    for module in (taxonomy, cli):
+        monkeypatch.setattr(module, "CLASS_TABLE", rows)
+        monkeypatch.setattr(module, "REGION_ROW", region_row)
     code, out, err = run_cli(capsys, "census")
     assert code == 1
     assert err == "census self-test failed\n"
-    assert [int(line.split()[0]) for line in out.splitlines() if line.endswith(" MISMATCH")] == mismatched
+    flagged = [line.split()[0] for line in out.splitlines() if line.endswith(" MISMATCH")]
+    assert flagged == [str(label) for label in mismatched]
 
 
 def test_fractions_csv_layout_and_determinism(capsys) -> None:

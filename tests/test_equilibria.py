@@ -80,23 +80,22 @@ def test_mixed_profile_is_interior_and_indifferent() -> None:
 
 
 def test_expected_payoff_values() -> None:
-    assert expected_payoff(CHICKEN, Fraction(1, 2), Fraction(1, 2)) == (3, 3)
-    assert expected_payoff(PayoffMatrix(3, 2, 5, 1), Fraction(1, 3), Fraction(1, 3)) == (
-        Fraction(7, 3),
-        Fraction(7, 3),
-    )
+    assert expected_payoff(CHICKEN, Fraction(1, 2)) == 3
+    assert expected_payoff(PayoffMatrix(3, 2, 5, 1), Fraction(1, 3)) == Fraction(7, 3)
     P = PayoffMatrix(1, 2, 3, 4)
-    assert expected_payoff(P, 1, 1) == (P.a, P.a)
-    assert expected_payoff(P, 0, 0) == (P.d, P.d)
-    # Degenerate profile at position (0,1): row gets b, column gets c.
-    assert expected_payoff(P, 1, 0) == (P.b, P.c)
+    assert expected_payoff(P, 1) == P.a
+    assert expected_payoff(P, 0) == P.d
+    assert type(expected_payoff(P, Fraction(1, 2))) is Fraction
+    # A profile is one shared probability; a second one is refused.
+    with pytest.raises(TypeError):
+        expected_payoff(P, 1, 0)
 
 
 def test_expected_payoff_rejects_bad_probability() -> None:
     with pytest.raises(ValueError):
-        expected_payoff(PD, Fraction(3, 2), 0)
+        expected_payoff(PD, Fraction(3, 2))
     with pytest.raises(ValueError):
-        expected_payoff(PD, 0, -1)
+        expected_payoff(PD, -1)
 
 
 def test_symmetric_profiles_pay_both_players_equally() -> None:
@@ -104,8 +103,11 @@ def test_symmetric_profiles_pay_both_players_equally() -> None:
     for _ in range(100):
         P = random_matrix(rng)
         p = Fraction(rng.randint(0, 8), 8)
-        row_value, col_value = expected_payoff(P, p, p)
-        assert row_value == col_value
+        q = 1 - p
+        # The row player gets P[i][j] at (i, j), the column player P[j][i].
+        row_value = p * p * P.a + p * q * P.b + q * p * P.c + q * q * P.d
+        col_value = p * p * P.a + p * q * P.c + q * p * P.b + q * q * P.d
+        assert expected_payoff(P, p) == row_value == col_value
 
 
 def test_standard_pareto_examples() -> None:

@@ -12,7 +12,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from symgame import cli, taxonomy
 from symgame.cartography import (
@@ -35,6 +35,7 @@ from symgame.payoff import (
     g_transform,
     inverse_g_transform,
     normalize_cube,
+    transpose_game,
 )
 from symgame.svgmap import _far, _fmt, _marker_elements
 from symgame.taxonomy import CLASS_TABLE, REGION_ROW
@@ -137,17 +138,28 @@ def _expected(P: PayoffMatrix, p_row: Fraction, p_col: Fraction) -> tuple:
 
 
 @settings(deadline=None)
-@given(games, _probabilities, _probabilities)
-def test_equilibria_match_the_fraction_definitions(P: PayoffMatrix, p_row, p_col) -> None:
+@given(games, _probabilities)
+def test_equilibria_match_the_fraction_definitions(P: PayoffMatrix, p) -> None:
     a, b, c, d = P.entries()
     assert pure_nash_set(P) == _nash(a, b, c, d)
     assert relaxed_po_set(P) == _nash(a, c, b, d)
     for got, want in ((mixed_nash(P), _mixed(a, b, c, d)), (mixed_po(P), _mixed(a, c, b, d))):
         assert got == want
         assert want is None or type(got) is Fraction
-    values = expected_payoff(P, p_row, p_col)
-    assert values == _expected(P, p_row, p_col)
-    assert _all_fractions(values)
+    value = expected_payoff(P, p)
+    assert (value, value) == _expected(P, p, p)
+    assert type(value) is Fraction
+
+
+@settings(deadline=None)
+@given(games, _probabilities)
+@example(PayoffMatrix(1, 5, 3, 2), Fraction(1, 2))
+def test_symmetric_payoff_sees_only_b_plus_c(P: PayoffMatrix, p) -> None:
+    """The transpose swaps b and c, so it keeps the payoff; the NE and PO mixes earn the same."""
+    assert expected_payoff(P, p) == expected_payoff(transpose_game(P), p)
+    report = cli.build_report(P)
+    if report["mixed_nash"] is not None and report["mixed_pareto"] is not None:
+        assert report["mixed_nash"]["value"] == report["mixed_pareto"]["value"]
 
 
 @settings(deadline=None)
