@@ -7,7 +7,7 @@ from .taxonomy import *
 from .ordergraph import *
 from .svgmap import *
 
-__version__ = "0.12.0"
+__version__ = "0.13.0"
 
 __all__ = (
     payoff.__all__

@@ -323,8 +323,9 @@ class TrajectorySample:
     matrix: PayoffMatrix
     point: Optional[MapPoint]  # None when the sample is a constant matrix
     game_class: object  # GameClassRecord, or None on boundary/trivial samples
-    boundary: bool
-    trivial: bool
+
+    trivial = property(lambda self: self.point is None, doc="A constant matrix: no map point.")
+    boundary = property(lambda self: self.point is not None and self.game_class is None, doc="Tied, not constant.")
 
 
 def trajectory(P0: PayoffMatrix, P1: PayoffMatrix, n: int) -> tuple:
@@ -344,15 +345,11 @@ def trajectory(P0: PayoffMatrix, P1: PayoffMatrix, n: int) -> tuple:
     samples = []
     for k in range(n):
         x = [(n - 1 - k) * a + k * b for a, b in ends]  # sample k's numerators over den
-        try:
-            point, trivial = _unfold(*_cube_ints(*x)), False  # no positive scale moves a cube point
-        except TrivialGame:
-            point, trivial = None, True
+        point = None if x.count(x[0]) == 4 else _unfold(*_cube_ints(*x))  # no positive scale moves a point
         region_id = _region_id(*x)
         game_class = None if region_id is None else CLASS_TABLE[REGION_ROW[region_id]]
-        boundary = region_id is None and not trivial
         M = PayoffMatrix(*(Fraction(xi, den) for xi in x))
-        samples.append(TrajectorySample(Fraction(k, n - 1), M, point, game_class, boundary, trivial))
+        samples.append(TrajectorySample(Fraction(k, n - 1), M, point, game_class))
     return tuple(samples)
 
 

@@ -48,7 +48,6 @@ class Arrow:
 
 @dataclass(frozen=True)
 class OrderGraph:
-    matrix: PayoffMatrix
     nodes: tuple
     nash_arrows: tuple
     pareto_arrows: tuple
@@ -75,7 +74,7 @@ def build_order_graph(P: PayoffMatrix) -> OrderGraph:
     # arrow the other player's, (a, b) or (c, d).  Each pair is compared once.
     ac, bd, ab, cd = _order(a, c), _order(b, d), _order(a, b), _order(c, d)
     e0, e1, e2, e3 = _ARROWS
-    return OrderGraph(P, nodes, (e0[ac], e1[bd], e2[ac], e3[bd]), (e0[ab], e1[cd], e2[ab], e3[cd]))
+    return OrderGraph(nodes, (e0[ac], e1[bd], e2[ac], e3[bd]), (e0[ab], e1[cd], e2[ab], e3[cd]))
 
 
 def _sinks(arrows: tuple) -> PositionSet:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import random
 import threading
@@ -19,6 +20,7 @@ from symgame.cartography import (
     CANONICAL_MATRICES,
     LABELS,
     REGIONS,
+    TrajectorySample,
     decompose,
     map_point,
     mc_region_fractions,
@@ -521,6 +523,11 @@ def test_trajectory_flags_trivial_samples() -> None:
     samples = trajectory(PayoffMatrix(-1, -2, -3, -4), PayoffMatrix(1, 2, 3, 4), 3)
     assert samples[1].trivial
     assert samples[1].point is None and samples[1].game_class is None
+
+
+def test_trajectory_sample_stores_no_flags() -> None:
+    """``trivial`` and ``boundary`` are read off ``point`` and ``game_class``."""
+    assert [f.name for f in dataclasses.fields(TrajectorySample)] == ["t", "matrix", "point", "game_class"]
 
 
 _small = st.integers(-3, 3)

@@ -429,6 +429,39 @@ def test_decompose_is_the_reports_decomposition_section(entries) -> None:
         assert rest == report["decomposition"]
 
 
+@pytest.mark.parametrize(
+    "schema, path, value",
+    [
+        ("report.v1", ("region", "ordering"), "c>a>d"),
+        ("report.v1", ("decomposition", "region", "ordering"), "c > a > d > b"),
+        ("report.v1", ("game_class", "category"), "one-diagonal"),
+        ("report.v1", ("game_class", "po_status"), "po-is-not-ne"),
+        ("report.v1", ("game_class", "payoff_comparison"), "ne-equal"),
+        ("report.v1", ("game_class", "display_name"), "Prisoners Dilemma"),
+        ("decompose.v1", ("region", "ordering"), "c>a>d>b>a"),
+    ],
+    ids=["region", "decomposition-region", "category", "po_status", "payoff_comparison", "display_name", "decompose"],
+)
+def test_schema_refuses_a_real_document_broken_in_one_place(capsys, schema, path, value) -> None:
+    command = ("classify", "--json") if schema == "report.v1" else ("decompose",)
+    code, out, _ = run_cli(capsys, *command, "3,1;4,2")
+    doc = json.loads(out)
+    _validators[schema].validate(doc)
+    *parents, key = path
+    node = doc
+    for parent in parents:
+        node = node[parent]
+    node[key] = value
+    assert not _validators[schema].is_valid(doc)
+
+
+def test_report_schema_enums_are_the_class_table_labels() -> None:
+    fields = _schema("report.v1.json")["properties"]["game_class"]["oneOf"][1]["properties"]
+    for name in ("category", "po_status", "payoff_comparison", "display_name"):
+        labels = {getattr(row, name) for row in taxonomy.CLASS_TABLE}
+        assert set(fields[name]["enum"]) == {getattr(label, "value", label) for label in labels}, name
+
+
 _small = st.builds(Fraction, st.integers(-20, 20), st.integers(1, 6))
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
 import re
 from fractions import Fraction
@@ -39,6 +40,11 @@ def test_nodes_sit_at_payoff_coordinates() -> None:
     }
     node_ids = [line.split()[0] for line in to_dot(g, simplified=True).splitlines()[3:-1]]
     assert node_ids == ["pos_00", "pos_01", "pos_10", "pos_11"]  # DOT ids, in node order
+
+
+def test_order_graph_is_its_nodes_and_arrows() -> None:
+    assert [f.name for f in dataclasses.fields(OrderGraph)] == ["nodes", "nash_arrows", "pareto_arrows"]
+    assert {n.position: n.y for n in build_order_graph(PD).nodes} == dict(zip(POSITIONS, PD.entries()))
 
 
 def test_arrow_inventory() -> None:
@@ -223,7 +229,7 @@ def _graph_by_entries(P: PayoffMatrix) -> OrderGraph:
     for i in (0, 1):  # column player's switches: (i,0) <-> (i,1)
         nash.append(_arrow_by_definition((i, 0), (i, 1), P.entry(0, i), P.entry(1, i), "col"))
         pareto.append(_arrow_by_definition((i, 0), (i, 1), P.entry(i, 0), P.entry(i, 1), "col"))
-    return OrderGraph(P, nodes, tuple(nash), tuple(pareto))
+    return OrderGraph(nodes, tuple(nash), tuple(pareto))
 
 
 def _adjacent_sinks(arrows) -> frozenset:
